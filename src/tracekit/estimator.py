@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, normalized_trace
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
     StreamSpec,
+    chunk_layout,
     gaussian_vector,
     sample_unit_vectors,
     spawn_stream,
@@ -51,7 +52,9 @@ __all__ = [
     "EstimatorConfig",
     "EstimateReport",
     "estimate_trace",
+    "estimate_matrix_trace",
     "substitution_identity_check",
+    "substitution_identity_sweep",
     "commutation_estimate_check",
 ]
 
@@ -288,19 +291,13 @@ def estimate_trace(
     cfg = config if config is not None else EstimatorConfig()
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    n_chunks = (n_samples + cfg.chunk_size - 1) // cfg.chunk_size
-    if n_chunks > CHUNK_OFFSET_PAIRED:
-        raise ValueError(
-            f"{n_chunks} chunks would collide with reserved substream offsets"
-        )
+    layout = chunk_layout(spec, n_samples, cfg.chunk_size)
     if cfg.check_linearity and not op.assume_linear:
         _check_linearity(op, spec)
 
-    def chunk_stats(c: int) -> RunningStats:
-        lo = c * cfg.chunk_size
-        hi = min(lo + cfg.chunk_size, n_samples)
-        stream = spawn_stream(spec.offset(c))
-        x = sample_unit_vectors(stream, op.dim, hi - lo)
+    def chunk_stats(chunk) -> RunningStats:
+        lo, hi, chunk_spec = chunk
+        x = sample_unit_vectors(spawn_stream(chunk_spec), op.dim, hi - lo)
         values = _rayleigh_values(op.apply_batch(x), x)
         finite = np.isfinite(values)
         if not np.all(finite):
@@ -308,11 +305,11 @@ def estimate_trace(
             raise FloatingPointError(f"non-finite numerical value at sample {j}")
         return stats_from_values(values)
 
-    if cfg.workers == 1 or n_chunks == 1:
-        partials = [chunk_stats(c) for c in range(n_chunks)]
+    if cfg.workers == 1 or n_samples <= cfg.chunk_size:
+        partials = map(chunk_stats, layout)
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            partials = list(pool.map(chunk_stats, range(n_chunks)))
+            partials = list(pool.map(chunk_stats, layout))
 
     total = RunningStats()
     for part in partials:
@@ -327,6 +324,38 @@ def estimate_trace(
         ci_radius=cfg.z_multiplier * stderr,
         spec=spec,
     )
+
+
+def estimate_matrix_trace(
+    a, n_samples: int, spec: StreamSpec, config: Optional[EstimatorConfig] = None,
+    raw: bool = False,
+) -> EstimateReport:
+    """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
+
+    raw=True reports the trace tr(A) itself: mean, stderr, ci_radius and
+    exact are all multiplied by n.
+    """
+    m = as_matrix(a)
+    report = estimate_trace(LinearOperator.from_matrix(m), n_samples, spec, config)
+    report.exact = normalized_trace(m)
+    if not raw:
+        return report
+    n = m.shape[0]
+    return replace(
+        report,
+        mean=report.mean * n,
+        stderr=report.stderr * n,
+        ci_radius=report.ci_radius * n,
+        exact=report.exact * n,
+    )
+
+
+def _unitarity_residual(b: np.ndarray) -> float:
+    """||B* B - I||_F, or ValueError above 1e-10, where x = B* z is no change of variables."""
+    ures = float(np.linalg.norm(np.conj(b).T @ b - np.eye(b.shape[0])))
+    if ures > 1e-10:
+        raise ValueError(f"b is not unitary: ||B*B - I||_F = {ures:.3e}")
+    return ures
 
 
 def substitution_identity_check(a, b, z):
@@ -346,13 +375,41 @@ def substitution_identity_check(a, b, z):
         raise ValueError(
             f"dimension mismatch: a is {n}, b is {bm.shape[0]}, z is {zv.shape[0]}"
         )
-    ures = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(n)))
-    if ures > 1e-10:
-        raise ValueError(f"b is not unitary: ||B*B - I||_F = {ures:.3e}")
+    _unitarity_residual(bm)
     x = np.conj(bm).T @ zv
     lhs = inner(am @ (bm @ x), x)
     rhs = inner(bm @ (am @ zv), zv)
     return lhs, rhs, abs(lhs - rhs)
+
+
+def substitution_identity_sweep(
+    a, b, n_samples: int, spec: StreamSpec, chunk_size: int = 4096
+) -> Tuple[float, float]:
+    """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
+
+    The draws are the `n_samples` vectors of the chunk layout based at
+    `spec` (those of sample_unit_vectors_chunked), evaluated one chunk at
+    a time, so no (n_samples, n) array is formed.  Returns
+    (max_gap, ||B* B - I||_F); raises ValueError, as
+    substitution_identity_check does, when B is not unitary.
+    """
+    am = as_matrix(a, "a")
+    bm = as_matrix(b, "b")
+    if bm.shape != am.shape:
+        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
+    unitarity = _unitarity_residual(bm)
+    b_conj = np.conj(bm)
+    ab_t = (am @ bm).T
+    ba_t = (bm @ am).T
+    max_gap = 0.0
+    for lo, hi, chunk in chunk_layout(spec, n_samples, chunk_size):
+        # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
+        z = sample_unit_vectors(spawn_stream(chunk), am.shape[0], hi - lo)
+        x = z @ b_conj
+        lhs = np.sum((x @ ab_t) * np.conj(x), axis=1)
+        rhs = np.sum((z @ ba_t) * np.conj(z), axis=1)
+        max_gap = np.maximum(max_gap, np.max(np.abs(lhs - rhs)))  # keeps a NaN
+    return float(max_gap), unitarity
 
 
 def commutation_estimate_check(
@@ -373,17 +430,8 @@ def commutation_estimate_check(
     bm = as_matrix(b, "b")
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    ab = am @ bm
-    ba = bm @ am
-    rep_ab = estimate_trace(
-        LinearOperator.from_matrix(ab), n_samples, spec, config
+    rep_ab = estimate_matrix_trace(am @ bm, n_samples, spec, config)
+    rep_ba = estimate_matrix_trace(
+        bm @ am, n_samples, spec.offset(CHUNK_OFFSET_PAIRED), config
     )
-    rep_ba = estimate_trace(
-        LinearOperator.from_matrix(ba),
-        n_samples,
-        spec.offset(CHUNK_OFFSET_PAIRED),
-        config,
-    )
-    rep_ab.exact = complex(np.trace(ab) / ab.shape[0])
-    rep_ba.exact = complex(np.trace(ba) / ba.shape[0])
     return rep_ab, rep_ba

@@ -45,9 +45,9 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _numbered_lines(text: str):
+def _numbered_lines(lines, start: int):
     """Yield (line_number, stripped_content) skipping comments and blanks."""
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -114,13 +114,9 @@ def parse_matrix_market(text) -> np.ndarray:
     if symmetry not in ("general", "symmetric", "hermitian"):
         raise MatrixMarketError(f"line 1: unsupported symmetry {symmetry!r}")
 
-    body = _numbered_lines("\n".join(lines[1:]))
-
-    def shifted(item):
-        return item[0] + 1, item[1]
-
+    body = _numbered_lines(lines[1:], start=2)
     try:
-        number, size_line = shifted(next(body))
+        number, size_line = next(body)
     except StopIteration:
         raise MatrixMarketError(f"line {len(lines)}: missing size line") from None
     tokens = size_line.split()
@@ -142,49 +138,28 @@ def parse_matrix_market(text) -> np.ndarray:
         )
 
     values_per_entry = 2 if field == "complex" else 1
-    a = np.zeros((rows, cols), dtype=np.complex128)
-
-    def entry_value(tokens, number):
-        parts = _parse_floats(tokens, values_per_entry, number)
-        return complex(parts[0], parts[1]) if field == "complex" else complex(parts[0])
-
     if fmt == "array":
         if symmetry == "general":
             coords = [(i, j) for j in range(cols) for i in range(rows)]
         else:
             coords = [(i, j) for j in range(cols) for i in range(j, rows)]
-        filled = 0
-        last = number
-        for number, line in map(shifted, body):
-            if filled == len(coords):
-                raise MatrixMarketError(
-                    f"line {number}: extra data, expected {len(coords)} entries"
-                )
-            i, j = coords[filled]
-            value = entry_value(line.split(), number)
-            if symmetry == "hermitian" and i == j and value.imag != 0.0:
-                raise MatrixMarketError(
-                    f"line {number}: hermitian diagonal entry has imaginary part"
-                )
-            a[i, j] = value
-            filled += 1
-            last = number
-        if filled != len(coords):
-            raise MatrixMarketError(
-                f"line {last}: expected {len(coords)} entries, found {filled}"
-            )
+        expected = len(coords)
     else:
-        nnz = sizes[2]
-        if nnz < 0:
-            raise MatrixMarketError(f"line {number}: entry count must be >= 0, got {nnz}")
-        filled = 0
-        last = number
-        for number, line in map(shifted, body):
-            if filled == nnz:
-                raise MatrixMarketError(
-                    f"line {number}: extra data, expected {nnz} entries"
-                )
-            tokens = line.split()
+        expected = sizes[2]
+        if expected < 0:
+            raise MatrixMarketError(f"line {number}: entry count must be >= 0, got {expected}")
+    a = np.zeros((rows, cols), dtype=np.complex128)
+    filled = 0
+    last = number
+    for number, line in body:
+        if filled == expected:
+            raise MatrixMarketError(
+                f"line {number}: extra data, expected {expected} entries"
+            )
+        tokens = line.split()
+        if fmt == "array":
+            i, j = coords[filled]
+        else:
             if len(tokens) != 2 + values_per_entry:
                 raise MatrixMarketError(
                     f"line {number}: expected {2 + values_per_entry} fields, "
@@ -197,18 +172,21 @@ def parse_matrix_market(text) -> np.ndarray:
                     f"line {number}: {symmetry} storage requires row >= column, "
                     f"got ({i + 1}, {j + 1})"
                 )
-            value = entry_value(tokens[2:], number)
-            if symmetry == "hermitian" and i == j and value.imag != 0.0:
-                raise MatrixMarketError(
-                    f"line {number}: hermitian diagonal entry has imaginary part"
-                )
-            a[i, j] += value
-            filled += 1
-            last = number
-        if filled != nnz:
+            tokens = tokens[2:]
+        value = complex(*_parse_floats(tokens, values_per_entry, number))
+        if symmetry == "hermitian" and i == j and value.imag != 0.0:
             raise MatrixMarketError(
-                f"line {last}: expected {nnz} entries, found {filled}"
+                f"line {number}: hermitian diagonal entry has imaginary part"
             )
+        # an array entry is stored once (keeping the sign of a zero);
+        # coordinate duplicates are summed
+        a[i, j] = value if fmt == "array" else a[i, j] + value
+        filled += 1
+        last = number
+    if filled != expected:
+        raise MatrixMarketError(
+            f"line {last}: expected {expected} entries, found {filled}"
+        )
 
     if symmetry == "symmetric":
         low = np.tril(a, -1)

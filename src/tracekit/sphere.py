@@ -6,11 +6,14 @@ generator as key = master_seed * 2**64 + stream_index.  Any substream
 can therefore be opened directly, in any order, on any worker, and
 always yields the same draws.
 
-Standard normals come from inverting the normal CDF on the centered
-53-bit grid: a raw 64-bit word r maps to u = ((r >> 11) + 0.5) * 2**-53,
-which lies strictly inside (0, 1), then z = ndtri(u).  One word per
-normal, no rejection, so the mapping from counter position to draw is
-fixed for all time.
+Standard normals come from inverting the normal CDF on a 53-bit grid:
+a raw 64-bit word r maps to u = ((r >> 11) + 0.5) * 2**-53, then
+z = ndtri(u).  The half-step offset is exact only for r >> 11 < 2**52;
+above that it rounds away (ties to even), and the top 53 bits all ones
+would round to u = 1.0, so u is clamped to 1 - 2**-53 and every u lies
+in [2**-54, 1 - 2**-53], strictly inside (0, 1).  One word per normal,
+no rejection, so the mapping from counter position to draw is fixed
+for all time.
 
 A unit vector in C^n consumes exactly 2n words: entry k is built from
 words (2k, 2k+1) as (real, imag), then the vector is divided by its
@@ -18,11 +21,11 @@ Euclidean norm.  Rotation invariance of the Gaussian makes the result
 uniform on the sphere.  In the measure-zero event that the norm
 underflows below 1e-150 the 2n words are discarded and redrawn.
 
-Estimators shard their draws into fixed-size chunks: sample j of a run
-based at stream_index b is drawn from stream b + j // chunk_size, at
-offset j % chunk_size within it.  The layout depends only on
-(master_seed, b, chunk_size), never on how chunks are assigned to
-workers.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
+Estimators shard their draws into fixed-size chunks (`chunk_layout`):
+sample j of a run based at stream_index b is drawn from stream
+b + j // chunk_size, at offset j % chunk_size within it.  The layout
+depends only on (master_seed, b, chunk_size), never on how chunks are
+assigned to workers.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
 draws (paired second estimates and probe vectors), so a single run keeps
 below 2**32 chunks.
 """
@@ -43,6 +46,7 @@ __all__ = [
     "sample_unit_vector",
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
+    "chunk_layout",
     "CHUNK_OFFSET_PAIRED",
     "CHUNK_OFFSET_PROBES",
 ]
@@ -52,6 +56,7 @@ CHUNK_OFFSET_PAIRED = 2**32
 CHUNK_OFFSET_PROBES = 2**48
 
 _TINY_NORM = 1e-150
+_U_MAX = 1.0 - 2.0**-53  # largest double below 1
 _U64 = np.uint64
 
 
@@ -95,6 +100,7 @@ class GaussianStream:
         """Next `count` standard normals (float64), one raw word each."""
         raw = self.raw_words(count)
         u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        np.minimum(u, _U_MAX, out=u)
         return ndtri(u)
 
 
@@ -102,20 +108,24 @@ def spawn_stream(spec: StreamSpec) -> GaussianStream:
     return GaussianStream(spec)
 
 
+def _complex_normals(stream: GaussianStream, *shape: int) -> np.ndarray:
+    """Standard complex Gaussians of `shape`, in row-major order: entry k
+    takes words (2k, 2k+1) as (real, imag)."""
+    return stream.gaussians(2 * int(np.prod(shape))).view(np.complex128).reshape(shape)
+
+
 def gaussian_vector(stream: GaussianStream, n: int) -> np.ndarray:
     """Standard complex Gaussian vector: entry k from words (2k, 2k+1)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    g = stream.gaussians(2 * n).reshape(n, 2)
-    return np.ascontiguousarray(g[:, 0] + 1j * g[:, 1])
+    return _complex_normals(stream, n)
 
 
 def gaussian_matrix(stream: GaussianStream, n: int) -> np.ndarray:
     """n x n matrix of standard complex Gaussians, entries in row-major order."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    g = stream.gaussians(2 * n * n).reshape(n, n, 2)
-    return np.ascontiguousarray(g[:, :, 0] + 1j * g[:, :, 1])
+    return _complex_normals(stream, n, n)
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -135,15 +145,13 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
         raise ValueError(f"dimension must be >= 1, got {n}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    g = stream.gaussians(2 * n * count).reshape(count, n, 2)
-    z = g[:, :, 0] + 1j * g[:, :, 1]
+    z = _complex_normals(stream, count, n)
     norms = _row_norms(z)
     while True:
         bad = np.flatnonzero(norms < _TINY_NORM)
         if bad.size == 0:
             break
-        g = stream.gaussians(2 * n * bad.size).reshape(bad.size, n, 2)
-        z[bad] = g[:, :, 0] + 1j * g[:, :, 1]
+        z[bad] = _complex_normals(stream, bad.size, n)
         norms[bad] = _row_norms(z[bad])
     return np.ascontiguousarray(z / norms[:, None])
 
@@ -151,6 +159,26 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
 def sample_unit_vector(stream: GaussianStream, n: int) -> np.ndarray:
     """Draw one unit vector from the stream."""
     return sample_unit_vectors(stream, n, 1)[0]
+
+
+def chunk_layout(spec: StreamSpec, count: int, chunk_size: int):
+    """The (lo, hi, substream) of each chunk of a `count`-draw run at `spec`.
+
+    Chunk c holds draws [c * chunk_size, min((c + 1) * chunk_size, count))
+    and reads them from substream spec.offset(c).  Arguments are checked
+    at the call; the chunks are generated lazily, in order.
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    n_chunks = (count + chunk_size - 1) // chunk_size
+    if n_chunks > CHUNK_OFFSET_PAIRED:
+        raise ValueError(f"{n_chunks} chunks would collide with reserved substream offsets")
+    return (
+        (lo, min(lo + chunk_size, count), spec.offset(lo // chunk_size))
+        for lo in range(0, count, chunk_size)
+    )
 
 
 def sample_unit_vectors_chunked(
@@ -162,14 +190,8 @@ def sample_unit_vectors_chunked(
     j % chunk_size.  This is the exact sequence an estimator based at
     `spec` consumes, independent of worker count.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    layout = chunk_layout(spec, count, chunk_size)
     out = np.empty((count, n), dtype=np.complex128)
-    for c in range((count + chunk_size - 1) // chunk_size):
-        lo = c * chunk_size
-        hi = min(lo + chunk_size, count)
-        stream = spawn_stream(spec.offset(c))
-        out[lo:hi] = sample_unit_vectors(stream, n, hi - lo)
+    for lo, hi, chunk in layout:
+        out[lo:hi] = sample_unit_vectors(spawn_stream(chunk), n, hi - lo)
     return out

@@ -68,36 +68,39 @@ def build_constraint_system(n: int, normalization: complex = 1.0 + 0j) -> Constr
     return ConstraintSystem(dim=n, lhs=lhs, rhs=rhs)
 
 
-def _echelon_rank(m: np.ndarray, rel_tol: float = 1e-10) -> int:
-    """Rank by row elimination with partial pivoting.
-
-    A pivot counts only if it exceeds rel_tol times the largest pivot
-    accepted so far, which for these integer-coefficient systems leaves
-    no ambiguity.
-    """
-    a = np.array(m, dtype=np.float64, copy=True)
-    rows, cols = a.shape
-    r = 0
-    largest = 0.0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = r + int(np.argmax(np.abs(a[r:, c])))
-        piv = abs(a[p, c])
-        if piv == 0.0 or piv <= rel_tol * largest:
-            continue
-        largest = max(largest, piv)
-        if p != r:
-            a[[r, p], :] = a[[p, r], :]
-        a[r + 1 :, :] -= np.outer(a[r + 1 :, c] / a[r, c], a[r, :])
-        r += 1
-    return r
-
-
 def homogeneous_nullspace_dim(system: ConstraintSystem) -> int:
-    """Dimension of the solution space of the constraints without normalization."""
-    rank = _echelon_rank(system.lhs[:-1])
-    return system.dim * system.dim - rank
+    """Dimension of the solution space of the constraints without normalization.
+
+    Exact, with no tolerance: every homogeneous row is 0, +-e_a (forcing
+    v_a = 0) or e_a - e_b (forcing v_a = v_b).  A solution is therefore
+    constant on each connected component of the graph whose edges are the
+    e_a - e_b rows, and zero on a component holding a forced unknown; the
+    dimension is the number of components with no forced unknown.  Raises
+    ValueError on a row of any other shape.
+    """
+    lhs = system.lhs[:-1]
+    rows, cols = np.nonzero(lhs)
+    vals = lhs[rows, cols]
+    size = np.bincount(rows, minlength=lhs.shape[0])[rows]  # nonzeros in each entry's row
+    first = np.flatnonzero(size == 2)[::2]  # first entry of each two-entry row
+    ok = (size <= 2) & (np.abs(vals) == 1.0)
+    ok[first] &= vals[first] == -vals[first + 1]
+    if not np.all(ok):
+        r = int(rows[np.argmin(ok)])
+        raise ValueError(f"constraint row {r} is not 0, +-e_a or e_a - e_b")
+
+    parent = list(range(lhs.shape[1]))
+
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for u, w in zip(cols[first].tolist(), cols[first + 1].tolist()):
+        parent[root(u)] = root(w)
+    forced = {root(u) for u in cols[size == 1].tolist()}
+    return len({root(u) for u in range(len(parent))} - forced)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,14 @@ from typing import List, Tuple
 import numpy as np
 
 from .linalg import as_matrix, hermitian_eigh, operator_norm_hermitian
+from .sphere import StreamSpec, gaussian_matrix, spawn_stream
 
 __all__ = [
     "hermitian_parts",
     "hermitian_contraction_to_unitary",
     "UnitaryDecomposition",
     "decompose_into_unitaries",
+    "seeded_unitary",
     "determinant",
     "rephase_to_det_one",
 ]
@@ -94,14 +96,16 @@ def _residuals(a: np.ndarray, coeffs, units) -> Tuple[float, float]:
     return float(np.linalg.norm(total - a)), ures
 
 
-def decompose_into_unitaries(a) -> UnitaryDecomposition:
+def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     """Write a square matrix as a sum of at most four weighted unitaries.
 
     Each Hermitian part H with operator norm h contributes the two terms
     (h/2) U and (h/2) U* built from the contraction H / max(h, 1); parts
     already contractions are not scaled, so a Hermitian contraction
     comes back as exactly 0.5 U + 0.5 U*.  Parts with h = 0 contribute
-    nothing; the zero matrix yields the single term 0 * I.
+    nothing; the zero matrix yields the single term 0 * I.  With
+    det_one=True every term is passed through rephase_to_det_one, and
+    the residuals are those of the rephased terms.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -120,6 +124,10 @@ def decompose_into_unitaries(a) -> UnitaryDecomposition:
     if not coeffs:
         coeffs = [0j]
         units = [np.eye(n, dtype=np.complex128)]
+    if det_one:
+        rephased = [rephase_to_det_one(u, c) for c, u in zip(coeffs, units)]
+        units = [u for u, _ in rephased]
+        coeffs = [c for _, c in rephased]
     recon, ures = _residuals(m, coeffs, units)
     return UnitaryDecomposition(
         dim=n,
@@ -128,6 +136,17 @@ def decompose_into_unitaries(a) -> UnitaryDecomposition:
         reconstruction_residual=recon,
         unitarity_residual=ures,
     )
+
+
+def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
+    """A random n x n unitary read from the substream at `spec`.
+
+    The first term of the decomposition of H / max(||H||, 1), where H is
+    the Hermitian part of an n x n standard complex Gaussian matrix.
+    """
+    h = hermitian_parts(gaussian_matrix(spawn_stream(spec), n))[0]
+    h = h / max(operator_norm_hermitian(h), 1.0)
+    return decompose_into_unitaries(h).unitaries[0]
 
 
 def determinant(a) -> complex:

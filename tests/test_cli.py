@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, and byte-level determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ class TestEstimate:
             "--samples", "200", "--z", "1e-12", "--no-check",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("diag", [
+        [0.1] * 3, [0.3] * 3, [1.0 / 3.0] * 3, [1.0, 1.0 + 1e-15, 1.0],
+    ])
+    @pytest.mark.parametrize("raw", [(), ("--raw",)])
+    def test_rounding_error_passes_gate(self, capsys, tmp_path, diag, raw):
+        # near-constant diagonals give a stderr far below the rounding
+        # error of the mean; the gate must not fail on rounding alone
+        path = tmp_path / "d.mm"
+        path.write_text(write_matrix_market(np.diag(diag)))
+        code, out, _ = run(capsys, "estimate", str(path), "--samples", "1000", *raw)
+        assert code == 0, out
 
     def test_output_file(self, capsys, identity_file, tmp_path):
         target = tmp_path / "report.json"
@@ -301,6 +314,29 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "estimate", "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--dim", "2", "--det-one"),
+        ("uniqueness", "--dim", "2", "--z", "1"),
+        ("estimate", "A.mm", "--trusted"),
+    ])
+    def test_flag_of_another_subcommand_rejected(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 1
+
+    def test_help_lists_only_read_flags(self, capsys):
+        own = {
+            "estimate": {"--format", "--samples", "--z", "--raw", "--no-check"},
+            "decompose": {"--format", "--tolerance", "--det-one"},
+            "uniqueness": {"--tolerance", "--dim"},
+            "check-invariance": {"--format", "--samples", "--tolerance",
+                                 "--unitary", "--random-unitary"},
+            "sample": {"--dim", "--count"},
+        }
+        for command, flags in own.items():
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+            assert listed == flags | {"--help", "--seed", "--output"}, command
 
     def test_bad_flag_values(self, capsys):
         assert run(capsys, "sample", "--dim", "2", "--seed", "-1")[0] == 1

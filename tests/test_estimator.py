@@ -13,11 +13,18 @@ from tracekit.estimator import (
     inner,
     merge_stats,
     numerical_value,
+    estimate_matrix_trace,
     stats_from_values,
     substitution_identity_check,
+    substitution_identity_sweep,
 )
 from tracekit.linalg import matrix_unit, normalized_trace
-from tracekit.sphere import StreamSpec, sample_unit_vector, spawn_stream
+from tracekit.sphere import (
+    StreamSpec,
+    sample_unit_vector,
+    sample_unit_vectors_chunked,
+    spawn_stream,
+)
 
 
 def crandn(rng, *shape):
@@ -262,6 +269,18 @@ class TestEstimateTrace:
             alpha * ra.mean + beta * rb.mean, abs=1e-10
         )
 
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_stderr_matches_closed_form_sphere_variance(self, n):
+        # for x uniform on the unit sphere of C^n,
+        # Var <A x, x> = (||A||_F^2 - |tr A|^2 / n) / (n (n + 1))
+        rng = np.random.default_rng(230 + n)
+        a = crandn(rng, n, n)
+        n_samples = 100000
+        rep = estimate_trace(LinearOperator.from_matrix(a), n_samples, StreamSpec(n, 0))
+        fro2 = float(np.sum(np.abs(a) ** 2))
+        var = (fro2 - abs(np.trace(a)) ** 2 / n) / (n * (n + 1))
+        assert 0.97 <= rep.stderr / np.sqrt(var / n_samples) <= 1.03
+
     def test_stderr_shrinks_with_samples(self):
         rng = np.random.default_rng(213)
         a = crandn(rng, 8, 8)
@@ -341,6 +360,49 @@ class TestSubstitutionIdentity:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             substitution_identity_check(np.eye(2), np.eye(3), np.array([1.0, 0]))
+
+
+class TestSubstitutionSweep:
+    def test_matches_batched_evaluation(self):
+        # the chunked sweep reproduces the gaps of one (samples, n) batch
+        rng = np.random.default_rng(218)
+        for n, samples in ((3, 5000), (8, 9000)):
+            a = crandn(rng, n, n)
+            b, _ = np.linalg.qr(crandn(rng, n, n))
+            z = sample_unit_vectors_chunked(StreamSpec(19, 0), n, samples)
+            x = z @ np.conj(b)
+            lhs = np.sum((x @ (a @ b).T) * np.conj(x), axis=1)
+            rhs = np.sum((z @ (b @ a).T) * np.conj(z), axis=1)
+            max_gap, unitarity = substitution_identity_sweep(a, b, samples, StreamSpec(19, 0))
+            assert max_gap == float(np.max(np.abs(lhs - rhs)))
+            assert unitarity == float(np.linalg.norm(b.conj().T @ b - np.eye(n)))
+            assert max_gap <= 1e-10 * (1.0 + np.linalg.norm(a))
+
+    def test_identity_b_gives_zero_gap(self):
+        rng = np.random.default_rng(219)
+        assert substitution_identity_sweep(
+            crandn(rng, 4, 4), np.eye(4), 300, StreamSpec(2, 0)
+        ) == (0.0, 0.0)
+
+    def test_rejects_non_unitary_and_mismatch(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            substitution_identity_sweep(np.eye(2), 2.0 * np.eye(2), 10, StreamSpec(0, 0))
+        with pytest.raises(ValueError, match="mismatch"):
+            substitution_identity_sweep(np.eye(2), np.eye(3), 10, StreamSpec(0, 0))
+
+
+class TestEstimateMatrixTrace:
+    def test_exact_and_raw_scaling(self):
+        rng = np.random.default_rng(220)
+        a = crandn(rng, 5, 5)
+        rep = estimate_matrix_trace(a, 3000, StreamSpec(8, 0))
+        raw = estimate_matrix_trace(a, 3000, StreamSpec(8, 0), raw=True)
+        plain = estimate_trace(LinearOperator.from_matrix(a), 3000, StreamSpec(8, 0))
+        assert (rep.mean, rep.stderr) == (plain.mean, plain.stderr)
+        assert rep.exact == normalized_trace(a)
+        assert (raw.mean, raw.stderr, raw.ci_radius, raw.exact) == (
+            rep.mean * 5, rep.stderr * 5, rep.ci_radius * 5, rep.exact * 5
+        )
 
 
 class TestCommutationCheck:

@@ -85,6 +85,17 @@ class TestDeterminism:
         expected = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
         assert np.array_equal(spawn_stream(spec).gaussians(256), expected)
 
+    def test_all_ones_word_gives_finite_normal(self, monkeypatch):
+        # the top 53 bits all ones would map to u = 1.0 and ndtri(1.0) = inf;
+        # that word is clamped to the largest grid point below 1
+        stream = spawn_stream(StreamSpec(0, 0))
+        monkeypatch.setattr(
+            stream, "raw_words", lambda count: np.full(count, 2**64 - 1, dtype=np.uint64)
+        )
+        g = stream.gaussians(2)
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(g, ndtri(np.full(2, 1.0 - 2.0**-53)))
+
     def test_unit_vector_entry_layout(self):
         # entry k of a vector uses words (2k, 2k+1) as (re, im), and the
         # row is divided by sqrt(sum(re^2 + im^2))

@@ -6,6 +6,7 @@ import pytest
 from tracekit.linalg import matrix_unit, normalized_trace
 from tracekit.sphere import StreamSpec, gaussian_matrix, spawn_stream
 from tracekit.uniqueness import (
+    ConstraintSystem,
     FunctionalSolution,
     build_constraint_system,
     evaluate_functional,
@@ -69,7 +70,7 @@ class TestConstraintSystem:
 
 class TestNullspace:
     def test_matches_svd_rank_oracle(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             system = build_constraint_system(n)
             expected = n * n - np.linalg.matrix_rank(system.lhs[:-1])
             assert homogeneous_nullspace_dim(system) == expected
@@ -77,6 +78,29 @@ class TestNullspace:
     def test_always_one(self):
         for n in range(1, 7):
             assert homogeneous_nullspace_dim(build_constraint_system(n)) == 1
+
+    def test_counts_components_without_forced_zero(self):
+        # unknowns 0..3: v0 = v1, v2 = 0, v3 free -> dimension 2 (v0 = v1, v3)
+        lhs = np.array([
+            [1.0, -1.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0],  # normalization row, not read
+        ])
+        system = ConstraintSystem(dim=2, lhs=lhs, rhs=np.zeros(4, dtype=complex))
+        assert homogeneous_nullspace_dim(system) == 2
+
+    @pytest.mark.parametrize("row", [
+        [1.0, 1.0, 0.0, 0.0],  # e_a + e_b
+        [2.0, 0.0, 0.0, 0.0],  # 2 e_a
+        [1.0, -1.0, 1.0, 0.0],  # three unknowns
+        [0.5, -0.5, 0.0, 0.0],  # scaled difference
+    ])
+    def test_rejects_other_row_shapes(self, row):
+        lhs = np.array([row, [1.0, 0.0, 0.0, 1.0]])
+        system = ConstraintSystem(dim=2, lhs=lhs, rhs=np.zeros(2, dtype=complex))
+        with pytest.raises(ValueError, match="row 0"):
+            homogeneous_nullspace_dim(system)
 
 
 class TestSolve:

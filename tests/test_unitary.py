@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from tracekit.linalg import operator_norm_hermitian
+from tracekit.sphere import StreamSpec
 from tracekit.unitary import (
     decompose_into_unitaries,
     determinant,
     hermitian_contraction_to_unitary,
     hermitian_parts,
     rephase_to_det_one,
+    seeded_unitary,
 )
 
 
@@ -165,6 +167,32 @@ class TestDecompose:
             np.testing.assert_allclose(
                 dec.reconstruct(), a, atol=1e-10 * scale
             )
+
+
+    def test_det_one_rephases_terms_and_residuals(self):
+        rng = np.random.default_rng(309)
+        a = crandn(rng, 5, 5)
+        plain = decompose_into_unitaries(a)
+        dec = decompose_into_unitaries(a, det_one=True)
+        assert len(dec.coefficients) == len(plain.coefficients)
+        for c, u, c0, u0 in zip(dec.coefficients, dec.unitaries,
+                                plain.coefficients, plain.unitaries):
+            u1, c1 = rephase_to_det_one(u0, c0)
+            assert c == c1 and np.array_equal(u, u1)
+            assert abs(determinant(u) - 1.0) <= 1e-8
+        total = sum(c * u for c, u in zip(dec.coefficients, dec.unitaries))
+        assert dec.reconstruction_residual == pytest.approx(
+            np.linalg.norm(total - a), rel=1e-12, abs=1e-15)
+        assert dec.reconstruction_residual <= 1e-10 * np.linalg.norm(a)
+        assert dec.unitarity_residual <= 1e-10 * 5
+
+
+class TestSeededUnitary:
+    def test_unitary_and_reproducible(self):
+        u = seeded_unitary(StreamSpec(5, 7), 6)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-12
+        assert np.array_equal(u, seeded_unitary(StreamSpec(5, 7), 6))
+        assert not np.array_equal(u, seeded_unitary(StreamSpec(5, 8), 6))
 
 
 class TestDeterminant:
