@@ -27,6 +27,7 @@ from .formats import (
     matrix_pairs,
     parse_json_dense,
     parse_matrix_market,
+    write_json_dense,
     write_report_json,
 )
 from .linalg import as_matrix
@@ -216,7 +217,7 @@ def cmd_check_invariance(args) -> int:
 
 def cmd_sample(args) -> int:
     vectors = sample_unit_vectors_chunked(StreamSpec(args.seed, 0), args.dim, args.count)
-    _emit(dumps(matrix_pairs(vectors)) + "\n", args)
+    _emit(write_json_dense(vectors), args)
     return 0
 
 

@@ -35,6 +35,7 @@ from .linalg import as_matrix, as_vector, normalized_trace
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
+    CHUNK_SIZE,
     StreamSpec,
     chunk_layout,
     gaussian_vector,
@@ -216,7 +217,7 @@ def merge_stats(a: RunningStats, b: RunningStats) -> RunningStats:
 class EstimatorConfig:
     """Knobs for estimate_trace; the defaults match the reported layout."""
 
-    chunk_size: int = 4096
+    chunk_size: int = CHUNK_SIZE
     z_multiplier: float = 3.0
     workers: int = 1
     check_linearity: bool = True
@@ -277,9 +278,8 @@ def estimate_trace(
 ) -> EstimateReport:
     """Estimate the normalized trace of `op` from `n_samples` sphere draws.
 
-    Draws are sharded into chunks of config.chunk_size consecutive
-    samples; chunk c uses substream spec.offset(c).  Chunk statistics
-    are merged left to right, so the report depends only on
+    Draws follow the chunk_layout of config.chunk_size at `spec`, and
+    chunk statistics are merged left to right, so the report depends only on
     (spec, n_samples, chunk_size) and is bitwise identical for any
     config.workers.  The confidence radius is z_multiplier * stderr.
 
@@ -350,12 +350,17 @@ def estimate_matrix_trace(
     )
 
 
-def _unitarity_residual(b: np.ndarray) -> float:
-    """||B* B - I||_F, or ValueError above 1e-10, where x = B* z is no change of variables."""
-    ures = float(np.linalg.norm(np.conj(b).T @ b - np.eye(b.shape[0])))
+def _unitary_pair(a, b):
+    """(A, B, ||B* B - I||_F) for same-size A and unitary B, or ValueError:
+    above 1e-10, x = B* z is no change of variables."""
+    am = as_matrix(a, "a")
+    bm = as_matrix(b, "b")
+    if bm.shape != am.shape:
+        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
+    ures = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
     if ures > 1e-10:
         raise ValueError(f"b is not unitary: ||B*B - I||_F = {ures:.3e}")
-    return ures
+    return am, bm, ures
 
 
 def substitution_identity_check(a, b, z):
@@ -367,42 +372,30 @@ def substitution_identity_check(a, b, z):
     ValueError when ||B* B - I||_F exceeds 1e-10, since the identity
     has no reason to hold for non-unitary B.
     """
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
+    am, bm, _ = _unitary_pair(a, b)
     zv = as_vector(z, "z")
-    n = am.shape[0]
-    if bm.shape[0] != n or zv.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: a is {n}, b is {bm.shape[0]}, z is {zv.shape[0]}"
-        )
-    _unitarity_residual(bm)
+    if zv.shape[0] != am.shape[0]:
+        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, z is {zv.shape[0]}")
     x = np.conj(bm).T @ zv
     lhs = inner(am @ (bm @ x), x)
     rhs = inner(bm @ (am @ zv), zv)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def substitution_identity_sweep(
-    a, b, n_samples: int, spec: StreamSpec, chunk_size: int = 4096
-) -> Tuple[float, float]:
+def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, float]:
     """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
 
-    The draws are the `n_samples` vectors of the chunk layout based at
-    `spec` (those of sample_unit_vectors_chunked), evaluated one chunk at
-    a time, so no (n_samples, n) array is formed.  Returns
-    (max_gap, ||B* B - I||_F); raises ValueError, as
+    The draws are those of sample_unit_vectors_chunked(spec, n, n_samples),
+    evaluated one chunk at a time, so no (n_samples, n) array is formed.
+    Returns (max_gap, ||B* B - I||_F); raises ValueError, as
     substitution_identity_check does, when B is not unitary.
     """
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if bm.shape != am.shape:
-        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
-    unitarity = _unitarity_residual(bm)
+    am, bm, unitarity = _unitary_pair(a, b)
     b_conj = np.conj(bm)
     ab_t = (am @ bm).T
     ba_t = (bm @ am).T
     max_gap = 0.0
-    for lo, hi, chunk in chunk_layout(spec, n_samples, chunk_size):
+    for lo, hi, chunk in chunk_layout(spec, n_samples, CHUNK_SIZE):
         # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
         z = sample_unit_vectors(spawn_stream(chunk), am.shape[0], hi - lo)
         x = z @ b_conj

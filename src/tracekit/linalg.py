@@ -35,19 +35,14 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative solver hits its sweep cap before its tolerance."""
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting anything malformed.
-
-    Accepts any array_like of numbers.  Raises ValueError for wrong
-    dimensionality, non-square shape, empty size, or non-finite entries.
-    """
+def _as_complex(a, name: str, ndim: int) -> np.ndarray:
     m = np.asarray(a)
     if m.dtype == object:
         raise ValueError(f"{name} has non-numeric entries")
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {m.shape}")
+    if ndim == 2 and m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValueError(f"{name} must have dimension >= 1")
@@ -56,19 +51,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square complex128 matrix, rejecting anything malformed.
+
+    Accepts any array_like of numbers.  Raises ValueError for wrong
+    dimensionality, non-square shape, empty size, or non-finite entries.
+    """
+    return _as_complex(a, name, 2)
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-d complex128 vector with finite entries."""
-    x = np.asarray(v)
-    if x.dtype == object:
-        raise ValueError(f"{name} has non-numeric entries")
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(x.view(np.float64))):
-        raise ValueError(f"{name} has non-finite entries")
-    return x
+    return _as_complex(v, name, 1)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

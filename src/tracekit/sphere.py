@@ -6,14 +6,11 @@ generator as key = master_seed * 2**64 + stream_index.  Any substream
 can therefore be opened directly, in any order, on any worker, and
 always yields the same draws.
 
-Standard normals come from inverting the normal CDF on a 53-bit grid:
-a raw 64-bit word r maps to u = ((r >> 11) + 0.5) * 2**-53, then
-z = ndtri(u).  The half-step offset is exact only for r >> 11 < 2**52;
-above that it rounds away (ties to even), and the top 53 bits all ones
-would round to u = 1.0, so u is clamped to 1 - 2**-53 and every u lies
-in [2**-54, 1 - 2**-53], strictly inside (0, 1).  One word per normal,
-no rejection, so the mapping from counter position to draw is fixed
-for all time.
+Standard normals come from inverting the normal CDF: a raw 64-bit word
+r maps to u = min(((r >> 11) + 0.5) * 2**-53, 1 - 2**-53), which lies in
+[2**-54, 1 - 2**-53] (the half step rounds away above 2**52), then
+z = ndtri(u).  One word per normal, no rejection, so the mapping from
+counter position to draw is fixed for all time.
 
 A unit vector in C^n consumes exactly 2n words: entry k is built from
 words (2k, 2k+1) as (real, imag), then the vector is divided by its
@@ -21,7 +18,7 @@ Euclidean norm.  Rotation invariance of the Gaussian makes the result
 uniform on the sphere.  In the measure-zero event that the norm
 underflows below 1e-150 the 2n words are discarded and redrawn.
 
-Estimators shard their draws into fixed-size chunks (`chunk_layout`):
+Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
 sample j of a run based at stream_index b is drawn from stream
 b + j // chunk_size, at offset j % chunk_size within it.  The layout
 depends only on (master_seed, b, chunk_size), never on how chunks are
@@ -47,10 +44,12 @@ __all__ = [
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
     "chunk_layout",
+    "CHUNK_SIZE",
     "CHUNK_OFFSET_PAIRED",
     "CHUNK_OFFSET_PROBES",
 ]
 
+CHUNK_SIZE = 4096  # default draws per chunk; reports depend on it
 # Reserved stream_index offsets relative to an estimate's base index.
 CHUNK_OFFSET_PAIRED = 2**32
 CHUNK_OFFSET_PROBES = 2**48
@@ -162,19 +161,15 @@ def sample_unit_vector(stream: GaussianStream, n: int) -> np.ndarray:
 
 
 def chunk_layout(spec: StreamSpec, count: int, chunk_size: int):
-    """The (lo, hi, substream) of each chunk of a `count`-draw run at `spec`.
-
-    Chunk c holds draws [c * chunk_size, min((c + 1) * chunk_size, count))
-    and reads them from substream spec.offset(c).  Arguments are checked
-    at the call; the chunks are generated lazily, in order.
-    """
+    """Lazily, the (lo, hi, substream) of each chunk of a `count`-draw run:
+    chunk c holds draws [c * chunk_size, min((c + 1) * chunk_size, count))
+    from substream spec.offset(c).  Arguments are checked at the call."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    n_chunks = (count + chunk_size - 1) // chunk_size
-    if n_chunks > CHUNK_OFFSET_PAIRED:
-        raise ValueError(f"{n_chunks} chunks would collide with reserved substream offsets")
+    if count > CHUNK_OFFSET_PAIRED * chunk_size:
+        raise ValueError(f"{count} draws would reach the reserved substream offsets")
     return (
         (lo, min(lo + chunk_size, count), spec.offset(lo // chunk_size))
         for lo in range(0, count, chunk_size)
@@ -182,14 +177,10 @@ def chunk_layout(spec: StreamSpec, count: int, chunk_size: int):
 
 
 def sample_unit_vectors_chunked(
-    spec: StreamSpec, n: int, count: int, chunk_size: int = 4096
+    spec: StreamSpec, n: int, count: int, chunk_size: int = CHUNK_SIZE
 ) -> np.ndarray:
-    """Draw `count` unit vectors in the sharded substream layout.
-
-    Vector j comes from stream spec.offset(j // chunk_size) at offset
-    j % chunk_size.  This is the exact sequence an estimator based at
-    `spec` consumes, independent of worker count.
-    """
+    """Draw `count` unit vectors in the `chunk_layout` at `spec`: the exact
+    sequence an estimator based at `spec` consumes, for any worker count."""
     layout = chunk_layout(spec, count, chunk_size)
     out = np.empty((count, n), dtype=np.complex128)
     for lo, hi, chunk in layout:

@@ -71,12 +71,9 @@ def build_constraint_system(n: int, normalization: complex = 1.0 + 0j) -> Constr
 def homogeneous_nullspace_dim(system: ConstraintSystem) -> int:
     """Dimension of the solution space of the constraints without normalization.
 
-    Exact, with no tolerance: every homogeneous row is 0, +-e_a (forcing
-    v_a = 0) or e_a - e_b (forcing v_a = v_b).  A solution is therefore
-    constant on each connected component of the graph whose edges are the
-    e_a - e_b rows, and zero on a component holding a forced unknown; the
-    dimension is the number of components with no forced unknown.  Raises
-    ValueError on a row of any other shape.
+    Exact: every homogeneous row must be 0, +-e_a (v_a = 0) or e_a - e_b
+    (v_a = v_b), else ValueError.  The dimension is the number of connected
+    components of the e_a - e_b graph that hold no forced-zero unknown.
     """
     lhs = system.lhs[:-1]
     rows, cols = np.nonzero(lhs)

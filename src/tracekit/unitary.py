@@ -139,11 +139,8 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
 
 
 def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
-    """A random n x n unitary read from the substream at `spec`.
-
-    The first term of the decomposition of H / max(||H||, 1), where H is
-    the Hermitian part of an n x n standard complex Gaussian matrix.
-    """
+    """A random n x n unitary from the substream at `spec`: the first term of
+    the decomposition of H / max(||H||, 1), H the Hermitian part of gaussian_matrix."""
     h = hermitian_parts(gaussian_matrix(spawn_stream(spec), n))[0]
     h = h / max(operator_norm_hermitian(h), 1.0)
     return decompose_into_unitaries(h).unitaries[0]
