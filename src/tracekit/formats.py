@@ -24,6 +24,7 @@ from .estimator import EstimateReport
 from .sphere import StreamSpec
 
 __all__ = [
+    "MAX_DENSE_BYTES",
     "MatrixMarketError",
     "parse_matrix_market",
     "write_matrix_market",
@@ -35,6 +36,11 @@ __all__ = [
     "complex_pair",
     "matrix_pairs",
 ]
+
+
+# Largest dense array a coordinate file may ask for: 1 GiB, an 8192 x 8192
+# complex128 matrix.  An array file is bounded by its own line count.
+MAX_DENSE_BYTES = 2**30
 
 
 class MatrixMarketError(ValueError):
@@ -91,8 +97,9 @@ def parse_matrix_market(text) -> np.ndarray:
     hermitian inputs must be square, store only entries with
     row >= column, and a hermitian diagonal entry must have zero
     imaginary part.  Coordinate duplicates are summed.  Anything else,
-    including a wrong entry count, raises MatrixMarketError with the
-    line number.
+    including a wrong entry count or a coordinate size whose dense array
+    would exceed MAX_DENSE_BYTES, raises MatrixMarketError with the line
+    number.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -139,15 +146,26 @@ def parse_matrix_market(text) -> np.ndarray:
 
     values_per_entry = 2 if field == "complex" else 1
     if fmt == "array":
-        if symmetry == "general":
-            coords = [(i, j) for j in range(cols) for i in range(rows)]
-        else:
-            coords = [(i, j) for j in range(cols) for i in range(j, rows)]
-        expected = len(coords)
+        expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+        cells = (
+            (i, j) for j in range(cols) for i in range(0 if symmetry == "general" else j, rows)
+        )
     else:
         expected = sizes[2]
         if expected < 0:
             raise MatrixMarketError(f"line {number}: entry count must be >= 0, got {expected}")
+        dense_bytes = rows * cols * np.dtype(np.complex128).itemsize
+        if dense_bytes > MAX_DENSE_BYTES:
+            raise MatrixMarketError(
+                f"line {number}: a dense {rows} x {cols} complex matrix needs "
+                f"{dense_bytes} bytes, above the limit of {MAX_DENSE_BYTES}"
+            )
+    # every entry takes a line of its own
+    if expected > len(lines) - number:
+        raise MatrixMarketError(
+            f"line {len(lines)}: expected {expected} entries, "
+            f"found {len(lines) - number} lines after the size line"
+        )
     a = np.zeros((rows, cols), dtype=np.complex128)
     filled = 0
     last = number
@@ -158,7 +176,7 @@ def parse_matrix_market(text) -> np.ndarray:
             )
         tokens = line.split()
         if fmt == "array":
-            i, j = coords[filled]
+            i, j = next(cells)
         else:
             if len(tokens) != 2 + values_per_entry:
                 raise MatrixMarketError(

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "StreamSpec",
@@ -97,10 +96,15 @@ class GaussianStream:
 
     def gaussians(self, count: int) -> np.ndarray:
         """Next `count` standard normals (float64), one raw word each."""
+        from scipy.special import ndtri  # deferred: costs most of the CLI's import time
+
         raw = self.raw_words(count)
-        u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        raw >>= _U64(11)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
         np.minimum(u, _U_MAX, out=u)
-        return ndtri(u)
+        return ndtri(u, out=u)
 
 
 def spawn_stream(spec: StreamSpec) -> GaussianStream:

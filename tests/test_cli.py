@@ -1,11 +1,16 @@
 """Subcommand behavior, exit codes, and byte-level determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tracekit
 from tracekit.cli import main
 from tracekit.formats import write_json_dense, write_matrix_market
 from tracekit.linalg import matrix_unit
@@ -125,6 +130,27 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(path))
         assert code == 1
         assert "line" in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
+        ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", "line 3"),
+    ], ids=["coordinate", "array"])
+    def test_huge_declared_size_rejected(self, capsys, tmp_path, text, where):
+        # a three-line file must not ask for a dense 10^6 x 10^6 array
+        path = tmp_path / "huge.mm"
+        path.write_text(text)
+        code, _, err = run(capsys, "estimate", str(path))
+        assert code == 1
+        assert err.startswith("error:") and where in err
+
+    def test_memory_error_exits_1(self, capsys, random_file, monkeypatch):
+        def no_memory(text):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr("tracekit.cli.parse_matrix_market", no_memory)
+        code, _, err = run(capsys, "estimate", random_file)
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_nonsquare_rejected(self, capsys, tmp_path):
         path = tmp_path / "rect.mm"
@@ -342,3 +368,24 @@ class TestUsage:
         assert run(capsys, "sample", "--dim", "2", "--seed", "-1")[0] == 1
         assert run(capsys, "sample", "--dim", "2", "--count", "0")[0] == 1
         assert run(capsys, "uniqueness", "--dim", "2", "--z", "0")[0] == 1
+
+
+def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
+    # scipy.special is only needed to sample; importing it costs most of the
+    # CLI's start-up time
+    matrix = tmp_path / "a.mm"
+    matrix.write_text(write_matrix_market(np.array([[1.0, 2.0], [3.0, 4.0]])))
+    script = (
+        "import sys\n"
+        "from tracekit.cli import main\n"
+        f"assert main(['uniqueness', '--dim', '2', '--output', {str(tmp_path / 'u.json')!r}]) == 0\n"
+        f"assert main(['decompose', {str(matrix)!r}, '--output', {str(tmp_path / 'd.json')!r}]) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(tracekit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

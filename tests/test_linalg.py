@@ -1,7 +1,7 @@
 """Validators, matrix units, traces, and the Jacobi eigensolver.
 
 Eigensolver results are cross-checked against numpy.linalg (LAPACK),
-which shares no code with the cyclic Jacobi implementation.
+which shares no code with the round-robin Jacobi implementation.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from tracekit.linalg import (
     as_matrix,
     as_vector,
     frobenius_norm,
+    _round_robin,
     hermitian_eigh,
     matrix_unit,
     normalized_trace,
@@ -161,11 +162,35 @@ class TestHermitianEigh:
         assert np.array_equal(w, np.ones(4))
         assert np.array_equal(q, np.eye(4))
 
+    def test_round_robin_schedule(self):
+        # each sweep pairs every p < r exactly once, in rounds of disjoint pairs
+        for n in range(1, 10):
+            rounds = list(_round_robin(n))
+            assert len(rounds) == n - 1 + n % 2
+            seen = []
+            for p, r in rounds:
+                assert len(p) == n // 2 and np.all(p < r)
+                assert len(set(p) | set(r)) == 2 * len(p)
+                seen += zip(p.tolist(), r.tolist())
+            assert sorted(seen) == [(p, r) for p in range(n) for r in range(p + 1, n)]
+
     def test_oracle_consistency_random(self):
         rng = np.random.default_rng(104)
-        for trial in range(100):
-            n = int(rng.integers(1, 17))
-            h = random_hermitian(rng, n)
+        cases = [random_hermitian(rng, int(rng.integers(1, 41))) for _ in range(100)]
+        # degenerate spectra: I + rank one, repeated eigenvalue blocks, and a
+        # block-diagonal matrix whose off-diagonal blocks are exactly zero
+        v = crandn(rng, 33, 1)
+        u, _ = np.linalg.qr(crandn(rng, 12, 12))
+        blocks = np.zeros((13, 13), dtype=complex)
+        blocks[:6, :6] = random_hermitian(rng, 6)
+        blocks[6:, 6:] = random_hermitian(rng, 7)
+        cases += [
+            np.eye(33) + v @ v.conj().T,
+            (u * np.repeat([-2.0, 1.0, 5.0], [3, 4, 5])) @ u.conj().T,
+            blocks,
+        ]
+        for h in cases:
+            n = h.shape[0]
             w, q = hermitian_eigh(h)
             scale = max(1.0, np.linalg.norm(h))
             # eigenvalues against LAPACK

@@ -77,13 +77,19 @@ class TestDeterminism:
         )
         assert np.array_equal(whole, parts)
 
-    def test_gaussian_mapping_frozen(self):
+    def test_gaussian_mapping_frozen(self, monkeypatch):
         # the word -> normal mapping is a fixed contract:
-        # u = ((word >> 11) + 0.5) * 2**-53, z = ndtri(u)
+        # u = min(((word >> 11) + 0.5) * 2**-53, 1 - 2**-53), z = ndtri(u);
+        # the edge words 0, 2**63 and 2**64 - 1 go through a stub raw_words
         spec = StreamSpec(11, 4)
         raw = spawn_stream(spec).raw_words(256)
-        expected = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
-        assert np.array_equal(spawn_stream(spec).gaussians(256), expected)
+        edges = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        stub = spawn_stream(spec)
+        monkeypatch.setattr(stub, "raw_words", lambda count: edges.copy())
+        for words, stream in ((raw, spawn_stream(spec)), (edges, stub)):
+            u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            expected = ndtri(np.minimum(u, 1.0 - 2.0**-53))
+            assert np.array_equal(stream.gaussians(words.size), expected)
 
     def test_all_ones_word_gives_finite_normal(self, monkeypatch):
         # the top 53 bits all ones would map to u = 1.0 and ndtri(1.0) = inf;
