@@ -24,7 +24,6 @@ from .estimator import (
 from .formats import (
     complex_pair,
     dumps,
-    matrix_pairs,
     parse_json_dense,
     parse_matrix_market,
     write_json_dense,
@@ -164,7 +163,7 @@ def cmd_decompose(args) -> int:
             {
                 "coefficient": complex_pair(c),
                 "det": complex_pair(determinant(u)),
-                "unitary": matrix_pairs(u),
+                "unitary": u,
             }
             for c, u in zip(dec.coefficients, dec.unitaries)
         ],
@@ -182,7 +181,7 @@ def cmd_uniqueness(args) -> int:
     solution = solve_unique_functional(args.dim)
     doc = {
         "dim": solution.dim,
-        "solution": matrix_pairs(solution.values),
+        "solution": solution.values,
         "nullspace_dim": solution.nullspace_dim,
         "residual": solution.residual,
     }

@@ -17,15 +17,15 @@ Conventions fixed here and relied on everywhere else:
   identity operator bitwise equal: every identity sample is exactly
   1.0 + 0.0j, so the estimate of the identity has zero variance.
 - Sample j of an estimate based at StreamSpec(seed, b) is drawn from
-  substream b + j // chunk_size.  Partial statistics are merged in
-  chunk order, so reports are bitwise reproducible for a fixed
+  substream b + j // chunk_size.  Chunks run on a thread pool
+  (`sphere.map_chunks`) and partial statistics are merged in chunk
+  order, so reports are bitwise reproducible for a fixed
   (seed, n_samples, chunk_size) regardless of worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
@@ -33,12 +33,13 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, normalized_trace
 from .sphere import (
+    _BLOCK_ROWS,
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
     CHUNK_SIZE,
     StreamSpec,
-    chunk_layout,
     gaussian_vector,
+    map_chunks,
     sample_unit_vectors,
     spawn_stream,
 )
@@ -67,6 +68,9 @@ class LinearOperator:
     if provided, maps a (m, n) array of row vectors to the (m, n) array
     of images; otherwise rows are applied one at a time.  Operators
     built from explicit matrices use matrix multiplication for both.
+    Estimators call apply_batch (and so apply, when no batch form is
+    given) on row blocks of each chunk, from several threads at once, so
+    both must be thread-safe.
 
     `assume_linear=True` marks the map as linear by construction, which
     lets estimators skip the random linearity probes.
@@ -215,17 +219,21 @@ def merge_stats(a: RunningStats, b: RunningStats) -> RunningStats:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs for estimate_trace; the defaults match the reported layout."""
+    """Knobs for estimate_trace; the defaults match the reported layout.
+
+    workers is the number of threads chunks run on: None for one per CPU
+    this process may use, 1 to run them serially.
+    """
 
     chunk_size: int = CHUNK_SIZE
     z_multiplier: float = 3.0
-    workers: int = 1
+    workers: Optional[int] = None
     check_linearity: bool = True
 
     def __post_init__(self):
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.z_multiplier > 0.0:
             raise ValueError(f"z_multiplier must be > 0, got {self.z_multiplier}")
@@ -270,6 +278,16 @@ def _check_linearity(op: LinearOperator, spec: StreamSpec, probes: int = 3) -> N
             )
 
 
+def _chunk_values(chunk, n: int, row_values, dtype) -> np.ndarray:
+    """row_values(x) of one chunk's sphere draws x, one row block at a time."""
+    lo, hi, substream = chunk
+    x = sample_unit_vectors(spawn_stream(substream), n, hi - lo)
+    values = np.empty(hi - lo, dtype=dtype)
+    for b in range(0, hi - lo, _BLOCK_ROWS):
+        values[b:b + _BLOCK_ROWS] = row_values(x[b:b + _BLOCK_ROWS])
+    return values
+
+
 def estimate_trace(
     op: LinearOperator,
     n_samples: int,
@@ -291,26 +309,21 @@ def estimate_trace(
     cfg = config if config is not None else EstimatorConfig()
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    layout = chunk_layout(spec, n_samples, cfg.chunk_size)
-    if cfg.check_linearity and not op.assume_linear:
-        _check_linearity(op, spec)
 
     def chunk_stats(chunk) -> RunningStats:
-        lo, hi, chunk_spec = chunk
-        x = sample_unit_vectors(spawn_stream(chunk_spec), op.dim, hi - lo)
-        values = _rayleigh_values(op.apply_batch(x), x)
+        values = _chunk_values(
+            chunk, op.dim, lambda x: _rayleigh_values(op.apply_batch(x), x), np.complex128
+        )
         finite = np.isfinite(values)
         if not np.all(finite):
-            j = lo + int(np.argmin(finite))
+            j = chunk[0] + int(np.argmin(finite))
             raise FloatingPointError(f"non-finite numerical value at sample {j}")
         return stats_from_values(values)
 
-    if cfg.workers == 1 or n_samples <= cfg.chunk_size:
-        partials = map(chunk_stats, layout)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            partials = list(pool.map(chunk_stats, layout))
-
+    # checks the layout now; no chunk starts before the loop below
+    partials = map_chunks(chunk_stats, spec, n_samples, cfg.chunk_size, cfg.workers)
+    if cfg.check_linearity and not op.assume_linear:
+        _check_linearity(op, spec)
     total = RunningStats()
     for part in partials:
         total = merge_stats(total, part)
@@ -386,22 +399,29 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
 
     The draws are those of sample_unit_vectors_chunked(spec, n, n_samples),
-    evaluated one chunk at a time, so no (n_samples, n) array is formed.
-    Returns (max_gap, ||B* B - I||_F); raises ValueError, as
-    substitution_identity_check does, when B is not unitary.
+    evaluated chunk by chunk on the thread pool of `sphere.map_chunks`, so
+    no (n_samples, n) array is formed.  Returns (max_gap, ||B* B - I||_F);
+    raises ValueError, as substitution_identity_check does, when B is not
+    unitary.
     """
     am, bm, unitarity = _unitary_pair(a, b)
     b_conj = np.conj(bm)
     ab_t = (am @ bm).T
     ba_t = (bm @ am).T
-    max_gap = 0.0
-    for lo, hi, chunk in chunk_layout(spec, n_samples, CHUNK_SIZE):
+
+    def gaps(z: np.ndarray) -> np.ndarray:
         # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
-        z = sample_unit_vectors(spawn_stream(chunk), am.shape[0], hi - lo)
         x = z @ b_conj
         lhs = np.sum((x @ ab_t) * np.conj(x), axis=1)
         rhs = np.sum((z @ ba_t) * np.conj(z), axis=1)
-        max_gap = np.maximum(max_gap, np.max(np.abs(lhs - rhs)))  # keeps a NaN
+        return np.abs(lhs - rhs)
+
+    def chunk_max(chunk):
+        return np.max(_chunk_values(chunk, am.shape[0], gaps, np.float64))
+
+    max_gap = 0.0
+    for part in map_chunks(chunk_max, spec, n_samples, CHUNK_SIZE):
+        max_gap = np.maximum(max_gap, part)  # keeps a NaN
     return float(max_gap), unitarity
 
 

@@ -17,6 +17,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -71,7 +72,7 @@ def _parse_floats(tokens, want: int, number: int):
             value = float(tok)
         except ValueError:
             raise MatrixMarketError(f"line {number}: bad number {tok!r}") from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise MatrixMarketError(f"line {number}: non-finite value {tok!r}")
         out.append(value)
     return out
@@ -235,7 +236,7 @@ def _real_number(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{where}: expected a number, got {x!r}")
     value = float(x)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{where}: non-finite value {x!r}")
     return value
 
@@ -284,14 +285,37 @@ def matrix_pairs(a) -> list:
 
 def write_json_dense(a) -> str:
     """Render a matrix as JSON rows of [re, im] pairs (deterministic bytes)."""
-    return dumps(matrix_pairs(a)) + "\n"
+    return dumps(np.atleast_2d(np.asarray(a, dtype=np.complex128))) + "\n"
 
 
 def dumps(value) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 17 digits."""
+    """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
+
+    A complex128 ndarray (1-d or more) is written as nested [re, im] pairs,
+    the same text as its matrix_pairs lists.
+    """
     pieces = []
     _emit(value, pieces)
     return "".join(pieces)
+
+
+def _complex_array(a: np.ndarray) -> str:
+    """[re, im] pairs of a complex array, nested by its axes."""
+    m = np.ascontiguousarray(a)
+    floats = m.view(np.float64)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        bad = float(floats.flat[np.argmin(finite)])
+        raise ValueError(f"cannot serialize non-finite float {bad!r}")
+    # one %-template per row, over the row's interleaved (re, im) floats
+    row = "[" + ", ".join(["[%.17g, %.17g]"] * m.shape[-1]) + "]"
+
+    def text(sub: np.ndarray) -> str:
+        if sub.ndim == 1:
+            return row % tuple(sub.view(np.float64).tolist())
+        return "[" + ", ".join(text(part) for part in sub) + "]"
+
+    return text(m)
 
 
 def _emit(value, pieces) -> None:
@@ -307,6 +331,8 @@ def _emit(value, pieces) -> None:
         pieces.append(_fmt(float(value)))
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
+    elif isinstance(value, np.ndarray) and value.dtype == np.complex128 and value.ndim:
+        pieces.append(_complex_array(value))
     elif isinstance(value, (list, tuple)):
         pieces.append("[")
         for k, item in enumerate(value):

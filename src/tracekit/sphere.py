@@ -24,12 +24,16 @@ b + j // chunk_size, at offset j % chunk_size within it.  The layout
 depends only on (master_seed, b, chunk_size), never on how chunks are
 assigned to workers.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
 draws (paired second estimates and probe vectors), so a single run keeps
-below 2**32 chunks.
+below 2**32 chunks.  `map_chunks` runs the chunks of a layout on a thread
+pool, one chunk per task, and hands the results back in chunk order.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
     "chunk_layout",
+    "map_chunks",
     "CHUNK_SIZE",
     "CHUNK_OFFSET_PAIRED",
     "CHUNK_OFFSET_PROBES",
@@ -53,6 +58,9 @@ CHUNK_SIZE = 4096  # default draws per chunk; reports depend on it
 CHUNK_OFFSET_PAIRED = 2**32
 CHUNK_OFFSET_PROBES = 2**48
 
+# Rows a chunk is evaluated in at a time, bounding its temporaries; every
+# per-row result is the same for any height.
+_BLOCK_ROWS = 512
 _TINY_NORM = 1e-150
 _U_MAX = 1.0 - 2.0**-53  # largest double below 1
 _U64 = np.uint64
@@ -94,13 +102,18 @@ class GaussianStream:
             raise ValueError(f"count must be >= 0, got {count}")
         return self._bits.random_raw(count)
 
-    def gaussians(self, count: int) -> np.ndarray:
-        """Next `count` standard normals (float64), one raw word each."""
+    def gaussians(self, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Next `count` standard normals (float64), one raw word each; written
+        into and returned as `out` (a 1-d float64 array of `count`) if given."""
         from scipy.special import ndtri  # deferred: costs most of the CLI's import time
 
         raw = self.raw_words(count)
         raw >>= _U64(11)
-        u = raw.astype(np.float64)
+        if out is None:
+            u = raw.astype(np.float64)
+        else:
+            u = out
+            u[...] = raw
         u += 0.5
         u *= 2.0**-53
         np.minimum(u, _U_MAX, out=u)
@@ -141,22 +154,29 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
     """Draw `count` unit vectors as the rows of a (count, n) complex array.
 
     Consumes exactly 2*n words per vector (plus 2*n per underflow
-    redraw, which at 1e-150 never happens in practice).  Each row is
-    divided by sqrt(sum(re^2 + im^2)) of its entries.
+    redraw, which at 1e-150 never happens in practice; redraws come after
+    all 2*n*count words).  Each row is divided by sqrt(sum(re^2 + im^2))
+    of its entries.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    z = _complex_normals(stream, count, n)
-    norms = _row_norms(z)
+    z = np.empty((count, n), dtype=np.complex128)
+    flat = z.reshape(-1).view(np.float64)  # (re, im) of row r at [2nr, 2n(r + 1))
+    norms = np.empty(count)
+    for lo in range(0, count, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, count)
+        stream.gaussians(2 * n * (hi - lo), out=flat[2 * n * lo:2 * n * hi])
+        norms[lo:hi] = _row_norms(z[lo:hi])
     while True:
         bad = np.flatnonzero(norms < _TINY_NORM)
         if bad.size == 0:
             break
         z[bad] = _complex_normals(stream, bad.size, n)
         norms[bad] = _row_norms(z[bad])
-    return np.ascontiguousarray(z / norms[:, None])
+    z /= norms[:, None]
+    return z
 
 
 def sample_unit_vector(stream: GaussianStream, n: int) -> np.ndarray:
@@ -180,13 +200,57 @@ def chunk_layout(spec: StreamSpec, count: int, chunk_size: int):
     )
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_chunks(fn, spec: StreamSpec, count: int, chunk_size: int = CHUNK_SIZE,
+               workers: Optional[int] = None):
+    """Lazily, fn((lo, hi, substream)) for each chunk of chunk_layout(spec,
+    count, chunk_size), in chunk order.
+
+    Chunks run on a pool of `workers` threads (None: one per CPU this
+    process may use), at most two per thread ahead of the consumer, so fn
+    must be thread-safe.  With one thread or one chunk they run serially,
+    in the caller's thread.  An exception from fn is raised when its
+    chunk's result is reached.
+    """
+    layout = chunk_layout(spec, count, chunk_size)
+    threads = min(_cpus() if workers is None else workers, -(-count // chunk_size))
+    if threads <= 1:
+        return map(fn, layout)
+    return _pooled(fn, layout, threads)
+
+
+def _pooled(fn, layout, threads: int):
+    # deferred: concurrent.futures imports logging, ~3% of the CLI's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque()
+        for chunk in layout:
+            ahead.append(pool.submit(fn, chunk))
+            if len(ahead) == 2 * threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def sample_unit_vectors_chunked(
     spec: StreamSpec, n: int, count: int, chunk_size: int = CHUNK_SIZE
 ) -> np.ndarray:
     """Draw `count` unit vectors in the `chunk_layout` at `spec`: the exact
     sequence an estimator based at `spec` consumes, for any worker count."""
-    layout = chunk_layout(spec, count, chunk_size)
+    def fill(chunk) -> None:
+        lo, hi, substream = chunk
+        out[lo:hi] = sample_unit_vectors(spawn_stream(substream), n, hi - lo)
+
+    chunks = map_chunks(fill, spec, count, chunk_size)  # checks the arguments first
     out = np.empty((count, n), dtype=np.complex128)
-    for lo, hi, chunk in layout:
-        out[lo:hi] = sample_unit_vectors(spawn_stream(chunk), n, hi - lo)
+    for _ in chunks:
+        pass
     return out

@@ -1,8 +1,11 @@
 """Trace estimation: value kernel, statistics, determinism, invariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tracekit import sphere
 from tracekit.estimator import (
     EstimateReport,
     EstimatorConfig,
@@ -254,6 +257,33 @@ class TestEstimateTrace:
         assert reports[0].mean == reports[1].mean == reports[2].mean
         assert reports[0].stderr == reports[1].stderr == reports[2].stderr
 
+    def test_default_threads_match_serial(self, monkeypatch):
+        # the default config runs one thread per CPU; with 3 of them and 5
+        # chunks the report equals the serial one bitwise
+        rng = np.random.default_rng(214)
+        op = LinearOperator.from_matrix(crandn(rng, 7, 7))
+        monkeypatch.setattr(sphere, "_cpus", lambda: 3)
+        threaded = estimate_trace(op, 4 * 1000 + 17, StreamSpec(4, 0),
+                                  EstimatorConfig(chunk_size=1000))
+        serial = estimate_trace(op, 4 * 1000 + 17, StreamSpec(4, 0),
+                                EstimatorConfig(chunk_size=1000, workers=1))
+        assert threaded == serial
+
+    def test_chunk_memory_is_bounded_by_row_blocks(self):
+        # each of two threads holds its chunk's draws and a few row-block
+        # temporaries, never whole-chunk temporaries (~13 MB per chunk at n = 64)
+        n, chunk = 64, sphere.CHUNK_SIZE
+        op = LinearOperator.from_matrix(crandn(np.random.default_rng(215), n, n))
+        estimate_trace(op, 10, StreamSpec(0, 0))  # imports done before tracing
+        tracemalloc.start()
+        try:
+            estimate_trace(op, 4 * chunk, StreamSpec(5, 0), EstimatorConfig(workers=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 512 * n * 16  # a complex buffer of 512 rows
+        assert peak < 2 * (chunk * n * 16 + 4 * block)
+
     def test_linearity_in_operator_at_fixed_seed(self):
         rng = np.random.default_rng(212)
         a = crandn(rng, 5, 5)
@@ -378,6 +408,19 @@ class TestSubstitutionSweep:
             assert max_gap == pytest.approx(float(np.max(np.abs(lhs - rhs))), rel=1e-12)
             assert unitarity == float(np.linalg.norm(b.conj().T @ b - np.eye(n)))
             assert max_gap <= 1e-10 * (1.0 + np.linalg.norm(a))
+
+    def test_threads_match_serial(self, monkeypatch):
+        # 5 chunks of the fixed chunk size on 3 threads, against one thread
+        rng = np.random.default_rng(222)
+        a = crandn(rng, 5, 5)
+        b, _ = np.linalg.qr(crandn(rng, 5, 5))
+        samples = 4 * sphere.CHUNK_SIZE + 9
+        gaps = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
+            gaps[cpus] = substitution_identity_sweep(a, b, samples, StreamSpec(23, 0))
+        assert gaps[1] == gaps[3]
+        assert gaps[1][0] > 0.0
 
     def test_identity_b_gives_zero_gap(self):
         rng = np.random.default_rng(219)

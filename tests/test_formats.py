@@ -10,7 +10,9 @@ import scipy.io
 from tracekit.estimator import EstimateReport
 from tracekit.formats import (
     MatrixMarketError,
+    complex_pair,
     dumps,
+    matrix_pairs,
     parse_json_dense,
     parse_matrix_market,
     parse_report_json,
@@ -271,6 +273,24 @@ class TestDeterministicJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             dumps([np.inf])
+        for bad in (np.array([[1.0, np.nan]], dtype=complex),
+                    np.array([1.0, complex(0.0, -np.inf)])):
+            with pytest.raises(ValueError, match="non-finite float (nan|-inf)"):
+                dumps(bad)
+
+    def test_complex_array_as_pairs(self):
+        # an array is written as the same text as its nested [re, im] lists,
+        # whatever its memory order, signed zeros and subnormals included
+        a = crandn(np.random.default_rng(30), 6, 5)
+        a[0, :3] = [complex(-0.0, 0.0), complex(5e-324, -0.0), complex(-2.2e-308, 1e308)]
+        for m in (a, np.asfortranarray(a), a[::2, 1::2], a.T):
+            assert dumps(m) == dumps(matrix_pairs(m))
+            assert dumps({"u": m}) == dumps({"u": matrix_pairs(m)})
+        assert dumps(a[0]) == dumps([complex_pair(z) for z in a[0]])
+        assert dumps(a.reshape(3, 2, 5)) == dumps(
+            [matrix_pairs(block) for block in a.reshape(3, 2, 5)])
+        for shape, text in (((0,), "[]"), ((2, 0), "[[], []]"), ((0, 3), "[]")):
+            assert dumps(np.zeros(shape, dtype=complex)) == text
 
     def test_rejects_unknown_types(self):
         with pytest.raises(ValueError, match="serialize"):

@@ -1,9 +1,12 @@
 """Seeded sphere sampling: determinism, layout, and measure sanity."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from tracekit import sphere
 from tracekit.sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
@@ -137,6 +140,52 @@ def test_scalar_samples_have_unit_modulus():
     np.testing.assert_allclose(np.abs(x[:, 0]), 1.0, atol=1e-12)
 
 
+def _one_batch(words: np.ndarray, n: int) -> np.ndarray:
+    """The sampler's formula applied to all rows at once: words -> normals,
+    (re, im) pairs -> complex rows, rows divided by their norms."""
+    u = np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53,
+                   1.0 - 2.0**-53)
+    z = ndtri(u).view(np.complex128).reshape(-1, n)
+    return z / np.sqrt(np.sum(z.real * z.real + z.imag * z.imag, axis=1))[:, None]
+
+
+def test_row_blocks_match_one_batch_formula():
+    # the sampler fills its rows block by block; a count that is no multiple
+    # of the block height gives the same bits as one batch
+    n, count = 5, 2 * sphere._BLOCK_ROWS + 37
+    spec = StreamSpec(12, 3)
+    words = spawn_stream(spec).raw_words(2 * n * count)
+    got = sample_unit_vectors(spawn_stream(spec), n, count)
+    assert got.shape == (count, n) and got.flags.c_contiguous
+    assert got.tobytes() == _one_batch(words, n).tobytes()
+
+
+def test_underflow_in_later_block_redraws_after_whole_chunk(monkeypatch):
+    # the word 2**63 maps to u = 0.5, whose normal is exactly 0; a row made
+    # of it has norm 0 and is redrawn from the words after all 2n * count
+    n, count = 3, sphere._BLOCK_ROWS + 40
+    row = sphere._BLOCK_ROWS + 7
+    spec = StreamSpec(13, 0)
+    words = spawn_stream(spec).raw_words(2 * n * (count + 1))
+    stub_words = words.copy()
+    stub_words[2 * n * row:2 * n * (row + 1)] = 2**63
+    stream = spawn_stream(spec)
+    taken = []
+
+    def raw_words(k):
+        start = sum(taken)
+        taken.append(k)
+        return stub_words[start:start + k].copy()
+
+    monkeypatch.setattr(stream, "raw_words", raw_words)
+    got = sample_unit_vectors(stream, n, count)
+    assert sum(taken) == 2 * n * (count + 1)
+    assert taken[-1] == 2 * n  # the redraw comes last, after every block
+    expected = _one_batch(words[:2 * n * count], n)
+    expected[row] = _one_batch(words[2 * n * count:], n)[0]
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_single_vector_matches_first_of_batch():
     one = sample_unit_vector(spawn_stream(StreamSpec(9, 0)), 5)
     batch = sample_unit_vectors(spawn_stream(StreamSpec(9, 0)), 5, 3)
@@ -184,6 +233,39 @@ class TestChunkedLayout:
                 chunks[c] = sample_unit_vectors(spawn_stream(spec.offset(c)), 3, 128)
         reassembled = np.vstack([chunks[c] for c in range(4)])
         assert np.array_equal(sequential, reassembled)
+
+    def test_threaded_matches_serial(self, monkeypatch):
+        # 7 chunks on 3 threads (more than the CPUs of a small machine), switching
+        # threads often: the same bits as one thread
+        spec = StreamSpec(34, 5)
+        monkeypatch.setattr(sphere, "_cpus", lambda: 1)
+        serial = sample_unit_vectors_chunked(spec, 4, 6 * 300 + 11, chunk_size=300)
+        monkeypatch.setattr(sphere, "_cpus", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = sample_unit_vectors_chunked(spec, 4, 6 * 300 + 11, chunk_size=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_map_chunks_order_and_errors(self):
+        # results come back in chunk order for any thread count; the first
+        # failing chunk in that order raises
+        spec = StreamSpec(35, 0)
+        layout = list(sphere.chunk_layout(spec, 1000, 64))
+        for workers in (1, 2, 5):
+            assert list(sphere.map_chunks(lambda c: c, spec, 1000, 64, workers)) == layout
+
+        def fail_from_chunk_4(chunk):
+            if chunk[0] >= 4 * 64:
+                raise RuntimeError(f"chunk at {chunk[0]}")
+            return chunk[0]
+
+        results = sphere.map_chunks(fail_from_chunk_4, spec, 1000, 64, 3)
+        assert [next(results) for _ in range(4)] == [0, 64, 128, 192]
+        with pytest.raises(RuntimeError, match="chunk at 256"):
+            next(results)
 
     def test_prefix_stability(self):
         # a longer run extends a shorter one without changing its draws
