@@ -38,10 +38,3 @@ for n_samples in (1000, 4000, 16000, 64000, 256000):
     r = estimate_trace(op, n_samples, spec)
     e = abs(r.mean - exact)
     print(f"{n_samples:>8}   {r.stderr:.3e}   {r.ci_radius:.3e}   {e:.3e}")
-
-# the same seed always reproduces the same report, even threaded
-from tracekit import EstimatorConfig
-
-again = estimate_trace(op, 50000, spec, EstimatorConfig(workers=8))
-print()
-print(f"re-run with 8 workers matches bitwise: {again == report}")

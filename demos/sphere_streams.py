@@ -30,10 +30,10 @@ stream = spawn_stream(spec)
 halves = np.vstack([sample_unit_vectors(stream, 4, 5), sample_unit_vectors(stream, 4, 5)])
 print(f"batch split agrees         : {np.array_equal(whole, halves)}")
 
-# chunked draws assign sample j to stream index j // chunk_size, so a
-# pool of workers can fill any slice independently
-chunked = sample_unit_vectors_chunked(spec, 4, 10000, chunk_size=256)
-tail = sample_unit_vectors_chunked(spec, 4, 10000, chunk_size=256)[9000:]
+# chunked draws assign sample j to stream index j // 4096, so a pool of
+# threads can fill any slice independently
+chunked = sample_unit_vectors_chunked(spec, 4, 10000)
+tail = sample_unit_vectors_chunked(spec, 4, 10000)[9000:]
 print(f"chunk layout reproducible  : {np.array_equal(chunked[9000:], tail)}")
 
 norms = np.sqrt(np.sum(chunked.real**2 + chunked.imag**2, axis=1))

@@ -12,7 +12,6 @@ estimator inherits sample by sample.
 
 from .estimator import (
     EstimateReport,
-    EstimatorConfig,
     LinearOperator,
     RunningStats,
     commutation_estimate_check,
@@ -74,7 +73,6 @@ __all__ = [
     "ConvergenceError",
     "EigenDecomposition",
     "EstimateReport",
-    "EstimatorConfig",
     "FunctionalSolution",
     "GaussianStream",
     "LinearOperator",

@@ -16,11 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import (
-    EstimatorConfig,
-    estimate_matrix_trace,
-    substitution_identity_sweep,
-)
+from .estimator import estimate_matrix_trace, substitution_identity_sweep
 from .formats import (
     complex_pair,
     dumps,
@@ -140,8 +136,7 @@ def _emit(text: str, args) -> None:
 def cmd_estimate(args) -> int:
     a = _load_matrix(args.matrix, args.format)
     report = estimate_matrix_trace(
-        a, args.samples, StreamSpec(args.seed, 0),
-        EstimatorConfig(z_multiplier=args.z), raw=args.raw,
+        a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw
     )
     abs_error = report.abs_error()
     _emit(write_report_json(report, abs_error=abs_error), args)

@@ -16,11 +16,11 @@ Conventions fixed here and relied on everywhere else:
   imaginary parts separately), which makes the two sums for the
   identity operator bitwise equal: every identity sample is exactly
   1.0 + 0.0j, so the estimate of the identity has zero variance.
-- Sample j of an estimate based at StreamSpec(seed, b) is drawn from
-  substream b + j // chunk_size.  Chunks run on a thread pool
-  (`sphere.map_chunks`) and partial statistics are merged in chunk
-  order, so reports are bitwise reproducible for a fixed
-  (seed, n_samples, chunk_size) regardless of worker count.
+- The draws of an estimate based at StreamSpec(seed, b) follow the
+  fixed chunk layout of `sphere.map_chunks`, which evaluates the chunks
+  on a thread pool; partial statistics are merged in chunk order, so
+  reports are bitwise reproducible for a fixed (seed, n_samples)
+  regardless of thread count.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from .sphere import (
     _BLOCK_ROWS,
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
-    CHUNK_SIZE,
     StreamSpec,
     gaussian_vector,
     map_chunks,
-    sample_unit_vectors,
     spawn_stream,
 )
 
@@ -51,7 +49,6 @@ __all__ = [
     "RunningStats",
     "merge_stats",
     "stats_from_values",
-    "EstimatorConfig",
     "EstimateReport",
     "estimate_trace",
     "estimate_matrix_trace",
@@ -217,28 +214,6 @@ def merge_stats(a: RunningStats, b: RunningStats) -> RunningStats:
     )
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs for estimate_trace; the defaults match the reported layout.
-
-    workers is the number of threads chunks run on: None for one per CPU
-    this process may use, 1 to run them serially.
-    """
-
-    chunk_size: int = CHUNK_SIZE
-    z_multiplier: float = 3.0
-    workers: Optional[int] = None
-    check_linearity: bool = True
-
-    def __post_init__(self):
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.z_multiplier > 0.0:
-            raise ValueError(f"z_multiplier must be > 0, got {self.z_multiplier}")
-
-
 @dataclass
 class EstimateReport:
     """Outcome of one randomized trace estimate."""
@@ -257,10 +232,10 @@ class EstimateReport:
         return abs(self.mean - self.exact)
 
 
-def _check_linearity(op: LinearOperator, spec: StreamSpec, probes: int = 3) -> None:
-    """Spot-check additivity and homogeneity on random Gaussian probes."""
+def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
+    """Spot-check additivity and homogeneity on three random Gaussian probes."""
     stream = spawn_stream(spec.offset(CHUNK_OFFSET_PROBES))
-    for k in range(probes):
+    for k in range(3):
         u = gaussian_vector(stream, op.dim)
         v = gaussian_vector(stream, op.dim)
         g = stream.gaussians(4)
@@ -278,51 +253,47 @@ def _check_linearity(op: LinearOperator, spec: StreamSpec, probes: int = 3) -> N
             )
 
 
-def _chunk_values(chunk, n: int, row_values, dtype) -> np.ndarray:
-    """row_values(x) of one chunk's sphere draws x, one row block at a time."""
-    lo, hi, substream = chunk
-    x = sample_unit_vectors(spawn_stream(substream), n, hi - lo)
-    values = np.empty(hi - lo, dtype=dtype)
-    for b in range(0, hi - lo, _BLOCK_ROWS):
+def _row_blocks(x: np.ndarray, row_values, dtype) -> np.ndarray:
+    """row_values of the rows of x, one row block at a time."""
+    values = np.empty(len(x), dtype=dtype)
+    for b in range(0, len(x), _BLOCK_ROWS):
         values[b:b + _BLOCK_ROWS] = row_values(x[b:b + _BLOCK_ROWS])
     return values
 
 
 def estimate_trace(
-    op: LinearOperator,
-    n_samples: int,
-    spec: StreamSpec,
-    config: Optional[EstimatorConfig] = None,
+    op: LinearOperator, n_samples: int, spec: StreamSpec, *, z: float = 3.0
 ) -> EstimateReport:
     """Estimate the normalized trace of `op` from `n_samples` sphere draws.
 
-    Draws follow the chunk_layout of config.chunk_size at `spec`, and
-    chunk statistics are merged left to right, so the report depends only on
-    (spec, n_samples, chunk_size) and is bitwise identical for any
-    config.workers.  The confidence radius is z_multiplier * stderr.
+    Draws follow the chunk layout of map_chunks at `spec`, and chunk
+    statistics are merged left to right, so the report depends only on
+    (spec, n_samples) and is bitwise identical for any thread count.  The
+    confidence radius is z * stderr.
 
-    Unless the operator is marked assume_linear (or the config disables
-    the check), three random probes verify linearity first; a failed
-    probe raises ValueError.  A non-finite sample value raises
-    FloatingPointError naming the sample index.
+    Unless the operator is marked assume_linear, three random probes
+    verify linearity first; a failed probe raises ValueError.  A
+    non-finite sample value raises FloatingPointError naming the sample
+    index.
     """
-    cfg = config if config is not None else EstimatorConfig()
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not z > 0.0:
+        raise ValueError(f"z must be > 0, got {z}")
 
-    def chunk_stats(chunk) -> RunningStats:
-        values = _chunk_values(
-            chunk, op.dim, lambda x: _rayleigh_values(op.apply_batch(x), x), np.complex128
+    def chunk_stats(lo: int, x: np.ndarray) -> RunningStats:
+        values = _row_blocks(
+            x, lambda rows: _rayleigh_values(op.apply_batch(rows), rows), np.complex128
         )
         finite = np.isfinite(values)
         if not np.all(finite):
-            j = chunk[0] + int(np.argmin(finite))
+            j = lo + int(np.argmin(finite))
             raise FloatingPointError(f"non-finite numerical value at sample {j}")
         return stats_from_values(values)
 
     # checks the layout now; no chunk starts before the loop below
-    partials = map_chunks(chunk_stats, spec, n_samples, cfg.chunk_size, cfg.workers)
-    if cfg.check_linearity and not op.assume_linear:
+    partials = map_chunks(chunk_stats, spec, op.dim, n_samples)
+    if not op.assume_linear:
         _check_linearity(op, spec)
     total = RunningStats()
     for part in partials:
@@ -334,14 +305,13 @@ def estimate_trace(
         sample_count=n_samples,
         mean=total.mean,
         stderr=stderr,
-        ci_radius=cfg.z_multiplier * stderr,
+        ci_radius=z * stderr,
         spec=spec,
     )
 
 
 def estimate_matrix_trace(
-    a, n_samples: int, spec: StreamSpec, config: Optional[EstimatorConfig] = None,
-    raw: bool = False,
+    a, n_samples: int, spec: StreamSpec, *, z: float = 3.0, raw: bool = False
 ) -> EstimateReport:
     """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
 
@@ -349,7 +319,7 @@ def estimate_matrix_trace(
     exact are all multiplied by n.
     """
     m = as_matrix(a)
-    report = estimate_trace(LinearOperator.from_matrix(m), n_samples, spec, config)
+    report = estimate_trace(LinearOperator.from_matrix(m), n_samples, spec, z=z)
     report.exact = normalized_trace(m)
     if not raw:
         return report
@@ -416,22 +386,16 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
         rhs = np.sum((z @ ba_t) * np.conj(z), axis=1)
         return np.abs(lhs - rhs)
 
-    def chunk_max(chunk):
-        return np.max(_chunk_values(chunk, am.shape[0], gaps, np.float64))
+    def chunk_max(lo: int, z: np.ndarray):
+        return np.max(_row_blocks(z, gaps, np.float64))
 
     max_gap = 0.0
-    for part in map_chunks(chunk_max, spec, n_samples, CHUNK_SIZE):
+    for part in map_chunks(chunk_max, spec, am.shape[0], n_samples):
         max_gap = np.maximum(max_gap, part)  # keeps a NaN
     return float(max_gap), unitarity
 
 
-def commutation_estimate_check(
-    a,
-    b,
-    n_samples: int,
-    spec: StreamSpec,
-    config: Optional[EstimatorConfig] = None,
-):
+def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec, *, z: float = 3.0):
     """Estimate the normalized traces of AB and BA from independent draws.
 
     The second estimate runs on the paired substream block at
@@ -443,8 +407,6 @@ def commutation_estimate_check(
     bm = as_matrix(b, "b")
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    rep_ab = estimate_matrix_trace(am @ bm, n_samples, spec, config)
-    rep_ba = estimate_matrix_trace(
-        bm @ am, n_samples, spec.offset(CHUNK_OFFSET_PAIRED), config
-    )
+    rep_ab = estimate_matrix_trace(am @ bm, n_samples, spec, z=z)
+    rep_ba = estimate_matrix_trace(bm @ am, n_samples, spec.offset(CHUNK_OFFSET_PAIRED), z=z)
     return rep_ab, rep_ba

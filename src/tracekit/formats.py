@@ -61,7 +61,7 @@ def _numbered_lines(lines, start: int):
         yield number, line
 
 
-def _parse_floats(tokens, want: int, number: int):
+def _parse_floats(tokens, want: int, number: int, integer: bool):
     if len(tokens) != want:
         raise MatrixMarketError(
             f"line {number}: expected {want} value(s), found {len(tokens)}"
@@ -69,9 +69,12 @@ def _parse_floats(tokens, want: int, number: int):
     out = []
     for tok in tokens:
         try:
-            value = float(tok)
+            if integer:
+                int(tok)
+            value = float(tok)  # an integer beyond float range becomes inf
         except ValueError:
-            raise MatrixMarketError(f"line {number}: bad number {tok!r}") from None
+            kind = "integer" if integer else "number"
+            raise MatrixMarketError(f"line {number}: bad {kind} {tok!r}") from None
         if not math.isfinite(value):
             raise MatrixMarketError(f"line {number}: non-finite value {tok!r}")
         out.append(value)
@@ -192,7 +195,7 @@ def parse_matrix_market(text) -> np.ndarray:
                     f"got ({i + 1}, {j + 1})"
                 )
             tokens = tokens[2:]
-        value = complex(*_parse_floats(tokens, values_per_entry, number))
+        value = complex(*_parse_floats(tokens, values_per_entry, number, field == "integer"))
         if symmetry == "hermitian" and i == j and value.imag != 0.0:
             raise MatrixMarketError(
                 f"line {number}: hermitian diagonal entry has imaginary part"
@@ -249,12 +252,18 @@ def _complex_from_pair(item, where: str) -> complex:
     )
 
 
-def parse_json_dense(text) -> np.ndarray:
-    """Parse a JSON array of rows of [re, im] pairs into a complex matrix."""
+def _load_json(text):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # a RuntimeError, which would read as a failed check
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def parse_json_dense(text) -> np.ndarray:
+    """Parse a JSON array of rows of [re, im] pairs into a complex matrix."""
+    data = _load_json(text)
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array of rows")
     if not all(isinstance(row, list) for row in data):
@@ -382,10 +391,7 @@ def parse_report_json(text) -> EstimateReport:
     The document stores only the master seed; reports are always based
     at stream index 0, so that is what the spec is rebuilt with.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
     for key in ("n", "samples", "mean", "stderr", "ci_radius", "seed"):

@@ -20,12 +20,13 @@ underflows below 1e-150 the 2n words are discarded and redrawn.
 
 Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
 sample j of a run based at stream_index b is drawn from stream
-b + j // chunk_size, at offset j % chunk_size within it.  The layout
-depends only on (master_seed, b, chunk_size), never on how chunks are
-assigned to workers.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
+b + j // CHUNK_SIZE, at offset j % CHUNK_SIZE within it.  The layout
+depends only on (master_seed, b), never on how chunks are assigned to
+threads.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
 draws (paired second estimates and probe vectors), so a single run keeps
-below 2**32 chunks.  `map_chunks` runs the chunks of a layout on a thread
-pool, one chunk per task, and hands the results back in chunk order.
+below 2**32 chunks.  `map_chunks` draws the chunks of a layout on a
+thread pool, one per CPU this process may use, and hands the results of
+a function of each chunk back in chunk order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "CHUNK_OFFSET_PROBES",
 ]
 
-CHUNK_SIZE = 4096  # default draws per chunk; reports depend on it
+CHUNK_SIZE = 4096  # draws per chunk; reports depend on it
 # Reserved stream_index offsets relative to an estimate's base index.
 CHUNK_OFFSET_PAIRED = 2**32
 CHUNK_OFFSET_PROBES = 2**48
@@ -184,19 +185,17 @@ def sample_unit_vector(stream: GaussianStream, n: int) -> np.ndarray:
     return sample_unit_vectors(stream, n, 1)[0]
 
 
-def chunk_layout(spec: StreamSpec, count: int, chunk_size: int):
+def chunk_layout(spec: StreamSpec, count: int):
     """Lazily, the (lo, hi, substream) of each chunk of a `count`-draw run:
-    chunk c holds draws [c * chunk_size, min((c + 1) * chunk_size, count))
+    chunk c holds draws [c * CHUNK_SIZE, min((c + 1) * CHUNK_SIZE, count))
     from substream spec.offset(c).  Arguments are checked at the call."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count > CHUNK_OFFSET_PAIRED * chunk_size:
+    if count > CHUNK_OFFSET_PAIRED * CHUNK_SIZE:
         raise ValueError(f"{count} draws would reach the reserved substream offsets")
     return (
-        (lo, min(lo + chunk_size, count), spec.offset(lo // chunk_size))
-        for lo in range(0, count, chunk_size)
+        (lo, min(lo + CHUNK_SIZE, count), spec.offset(lo // CHUNK_SIZE))
+        for lo in range(0, count, CHUNK_SIZE)
     )
 
 
@@ -208,22 +207,27 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_chunks(fn, spec: StreamSpec, count: int, chunk_size: int = CHUNK_SIZE,
-               workers: Optional[int] = None):
-    """Lazily, fn((lo, hi, substream)) for each chunk of chunk_layout(spec,
-    count, chunk_size), in chunk order.
+def map_chunks(fn, spec: StreamSpec, n: int, count: int):
+    """Lazily, fn(lo, x) for each chunk of chunk_layout(spec, count), in
+    chunk order, where x is the chunk's (hi - lo, n) sample_unit_vectors
+    draw from its substream.
 
-    Chunks run on a pool of `workers` threads (None: one per CPU this
-    process may use), at most two per thread ahead of the consumer, so fn
-    must be thread-safe.  With one thread or one chunk they run serially,
-    in the caller's thread.  An exception from fn is raised when its
-    chunk's result is reached.
+    Chunks run on a pool of one thread per CPU this process may use, at
+    most two per thread ahead of the consumer, so fn must be thread-safe.
+    With one CPU or one chunk they run serially, in the caller's thread;
+    narrowing the CPU affinity (taskset -c 0, os.sched_setaffinity) gets
+    that for any run.  An exception from fn is raised when its chunk's
+    result is reached.
     """
-    layout = chunk_layout(spec, count, chunk_size)
-    threads = min(_cpus() if workers is None else workers, -(-count // chunk_size))
+    def run(chunk):
+        lo, hi, substream = chunk
+        return fn(lo, sample_unit_vectors(spawn_stream(substream), n, hi - lo))
+
+    layout = chunk_layout(spec, count)
+    threads = min(_cpus(), -(-count // CHUNK_SIZE))
     if threads <= 1:
-        return map(fn, layout)
-    return _pooled(fn, layout, threads)
+        return map(run, layout)
+    return _pooled(run, layout, threads)
 
 
 def _pooled(fn, layout, threads: int):
@@ -240,16 +244,13 @@ def _pooled(fn, layout, threads: int):
             yield ahead.popleft().result()
 
 
-def sample_unit_vectors_chunked(
-    spec: StreamSpec, n: int, count: int, chunk_size: int = CHUNK_SIZE
-) -> np.ndarray:
+def sample_unit_vectors_chunked(spec: StreamSpec, n: int, count: int) -> np.ndarray:
     """Draw `count` unit vectors in the `chunk_layout` at `spec`: the exact
-    sequence an estimator based at `spec` consumes, for any worker count."""
-    def fill(chunk) -> None:
-        lo, hi, substream = chunk
-        out[lo:hi] = sample_unit_vectors(spawn_stream(substream), n, hi - lo)
+    sequence an estimator based at `spec` consumes, for any thread count."""
+    def fill(lo: int, x: np.ndarray) -> None:
+        out[lo:lo + len(x)] = x
 
-    chunks = map_chunks(fill, spec, count, chunk_size)  # checks the arguments first
+    chunks = map_chunks(fill, spec, n, count)  # checks the arguments first
     out = np.empty((count, n), dtype=np.complex128)
     for _ in chunks:
         pass

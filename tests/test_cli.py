@@ -131,6 +131,21 @@ class TestEstimate:
         assert code == 1
         assert "line" in err
 
+    def test_non_integer_in_integer_field_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.mm"
+        path.write_text("%%MatrixMarket matrix array integer general\n1 1\n1.5\n")
+        code, out, err = run(capsys, "estimate", str(path))
+        assert code == 1 and out == ""
+        assert "line 3" in err
+
+    def test_deeply_nested_json_exits_1(self, capsys, tmp_path):
+        # an input error, not a failed numerical check
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "estimate", str(path), "--format", "json")
+        assert code == 1
+        assert "nested too deeply" in err
+
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", "line 3"),

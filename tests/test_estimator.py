@@ -8,7 +8,6 @@ import pytest
 from tracekit import sphere
 from tracekit.estimator import (
     EstimateReport,
-    EstimatorConfig,
     LinearOperator,
     RunningStats,
     commutation_estimate_check,
@@ -149,9 +148,8 @@ class TestLinearOperator:
             estimate_trace(op, 100, StreamSpec(18, 0))
 
     def test_trusted_config_skips_probe(self):
-        op = LinearOperator(4, apply=lambda v: v * np.linalg.norm(v))
-        cfg = EstimatorConfig(check_linearity=False)
-        rep = estimate_trace(op, 100, StreamSpec(18, 0), cfg)
+        op = LinearOperator(4, apply=lambda v: v * np.linalg.norm(v), assume_linear=True)
+        rep = estimate_trace(op, 100, StreamSpec(18, 0))
         assert rep.sample_count == 100
 
 
@@ -241,43 +239,27 @@ class TestEstimateTrace:
         assert r1 == r2
         assert r1.mean != r3.mean
 
-    def test_worker_count_invariance(self):
-        rng = np.random.default_rng(211)
-        a = crandn(rng, 6, 6)
-        op = LinearOperator.from_matrix(a)
-        reports = [
-            estimate_trace(
-                op,
-                10000,
-                StreamSpec(3, 0),
-                EstimatorConfig(chunk_size=1024, workers=w),
-            )
-            for w in (1, 3, 8)
-        ]
-        assert reports[0].mean == reports[1].mean == reports[2].mean
-        assert reports[0].stderr == reports[1].stderr == reports[2].stderr
-
-    def test_default_threads_match_serial(self, monkeypatch):
-        # the default config runs one thread per CPU; with 3 of them and 5
-        # chunks the report equals the serial one bitwise
+    def test_worker_count_invariance(self, monkeypatch):
+        # one thread per CPU: 5 chunks on 1, 3 (not dividing 5) or 8 CPUs
+        # give bitwise equal reports
         rng = np.random.default_rng(214)
         op = LinearOperator.from_matrix(crandn(rng, 7, 7))
-        monkeypatch.setattr(sphere, "_cpus", lambda: 3)
-        threaded = estimate_trace(op, 4 * 1000 + 17, StreamSpec(4, 0),
-                                  EstimatorConfig(chunk_size=1000))
-        serial = estimate_trace(op, 4 * 1000 + 17, StreamSpec(4, 0),
-                                EstimatorConfig(chunk_size=1000, workers=1))
-        assert threaded == serial
+        reports = []
+        for cpus in (1, 3, 8):
+            monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
+            reports.append(estimate_trace(op, 4 * sphere.CHUNK_SIZE + 17, StreamSpec(4, 0)))
+        assert reports[0] == reports[1] == reports[2]
 
-    def test_chunk_memory_is_bounded_by_row_blocks(self):
+    def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
         # each of two threads holds its chunk's draws and a few row-block
         # temporaries, never whole-chunk temporaries (~13 MB per chunk at n = 64)
         n, chunk = 64, sphere.CHUNK_SIZE
         op = LinearOperator.from_matrix(crandn(np.random.default_rng(215), n, n))
         estimate_trace(op, 10, StreamSpec(0, 0))  # imports done before tracing
+        monkeypatch.setattr(sphere, "_cpus", lambda: 2)
         tracemalloc.start()
         try:
-            estimate_trace(op, 4 * chunk, StreamSpec(5, 0), EstimatorConfig(workers=2))
+            estimate_trace(op, 4 * chunk, StreamSpec(5, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,12 +305,8 @@ class TestEstimateTrace:
         op = LinearOperator.from_matrix(np.eye(2))
         with pytest.raises(ValueError, match="n_samples"):
             estimate_trace(op, 0, StreamSpec(0, 0))
-        with pytest.raises(ValueError):
-            EstimatorConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(workers=0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(z_multiplier=0.0)
+        with pytest.raises(ValueError, match="z must be > 0"):
+            estimate_trace(op, 10, StreamSpec(0, 0), z=0.0)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_value_names_sample(self):
@@ -345,7 +323,7 @@ class TestEstimateTrace:
             LinearOperator.from_matrix(np.eye(3)),
             50,
             StreamSpec(4, 2),
-            EstimatorConfig(z_multiplier=2.5),
+            z=2.5,
         )
         assert rep.dim == 3
         assert rep.sample_count == 50

@@ -181,6 +181,15 @@ class TestMatrixMarketErrors:
         with pytest.raises(MatrixMarketError, match="non-finite"):
             parse_matrix_market(text)
 
+    def test_integer_field_rejects_non_integers(self):
+        head = "%%MatrixMarket matrix array integer general\n2 1\n3\n"
+        for tok in ("1.5", "2e0", "inf"):
+            with pytest.raises(MatrixMarketError, match="line 4"):
+                parse_matrix_market(head + tok + "\n")
+        # an integer too large for a double is non-finite, not an overflow
+        with pytest.raises(MatrixMarketError, match="line 4: non-finite"):
+            parse_matrix_market(head + "9" * 400 + "\n")
+
     def test_symmetric_requires_square(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n"
         with pytest.raises(MatrixMarketError, match="square"):
@@ -255,6 +264,8 @@ class TestJsonDense:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError, match="JSON"):
             parse_json_dense("not json")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_json_dense("[" * 100000 + "]" * 100000)
         with pytest.raises(ValueError, match="pair"):
             parse_json_dense("[[[1,0,0]]]")
         with pytest.raises(ValueError, match="array"):
@@ -337,6 +348,8 @@ class TestReportJson:
             parse_report_json('{"n": 2}')
         with pytest.raises(ValueError, match="JSON"):
             parse_report_json("{")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_report_json("[" * 100000 + "]" * 100000)
         with pytest.raises(ValueError, match="integer"):
             parse_report_json(
                 '{"n": 2.5, "samples": 1, "mean": [0,0], "stderr": 0,'

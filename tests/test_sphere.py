@@ -20,6 +20,8 @@ from tracekit.sphere import (
     spawn_stream,
 )
 
+CHUNK = sphere.CHUNK_SIZE
+
 
 class TestStreamSpec:
     def test_defaults_and_fields(self):
@@ -203,21 +205,24 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         stream.gaussians(-1)
     with pytest.raises(ValueError):
-        sample_unit_vectors_chunked(StreamSpec(0, 0), 3, 10, chunk_size=0)
+        sample_unit_vectors_chunked(StreamSpec(0, 0), 3, -1)
+    with pytest.raises(ValueError, match="reserved"):  # raised before any allocation
+        sample_unit_vectors_chunked(StreamSpec(0, 0), 3, CHUNK_OFFSET_PAIRED * CHUNK + 1)
 
 
 class TestChunkedLayout:
     def test_matches_per_stream_assembly(self):
-        # vector j must come from substream j // chunk_size regardless
+        # vector j must come from substream j // CHUNK_SIZE regardless
         # of how the work is divided
         spec = StreamSpec(31, 10)
-        got = sample_unit_vectors_chunked(spec, 4, 1000, chunk_size=256)
+        count = 2 * CHUNK + 1000
+        got = sample_unit_vectors_chunked(spec, 4, count)
         expected = np.vstack(
             [
                 sample_unit_vectors(
-                    spawn_stream(spec.offset(c)), 4, min(256, 1000 - 256 * c)
+                    spawn_stream(spec.offset(c)), 4, min(CHUNK, count - CHUNK * c)
                 )
-                for c in range(4)
+                for c in range(3)
             ]
         )
         assert np.array_equal(got, expected)
@@ -226,11 +231,11 @@ class TestChunkedLayout:
         # simulate two workers taking alternating chunks; reassembling
         # their output by chunk index reproduces the sequential draws
         spec = StreamSpec(32, 0)
-        sequential = sample_unit_vectors_chunked(spec, 3, 512, chunk_size=128)
+        sequential = sample_unit_vectors_chunked(spec, 3, 4 * CHUNK)
         chunks = {}
         for worker in (0, 1):
             for c in range(worker, 4, 2):
-                chunks[c] = sample_unit_vectors(spawn_stream(spec.offset(c)), 3, 128)
+                chunks[c] = sample_unit_vectors(spawn_stream(spec.offset(c)), 3, CHUNK)
         reassembled = np.vstack([chunks[c] for c in range(4)])
         assert np.array_equal(sequential, reassembled)
 
@@ -239,40 +244,48 @@ class TestChunkedLayout:
         # threads often: the same bits as one thread
         spec = StreamSpec(34, 5)
         monkeypatch.setattr(sphere, "_cpus", lambda: 1)
-        serial = sample_unit_vectors_chunked(spec, 4, 6 * 300 + 11, chunk_size=300)
+        serial = sample_unit_vectors_chunked(spec, 4, 6 * CHUNK + 11)
         monkeypatch.setattr(sphere, "_cpus", lambda: 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threaded = sample_unit_vectors_chunked(spec, 4, 6 * 300 + 11, chunk_size=300)
+            threaded = sample_unit_vectors_chunked(spec, 4, 6 * CHUNK + 11)
         finally:
             sys.setswitchinterval(interval)
         assert threaded.tobytes() == serial.tobytes()
 
-    def test_map_chunks_order_and_errors(self):
-        # results come back in chunk order for any thread count; the first
-        # failing chunk in that order raises
-        spec = StreamSpec(35, 0)
-        layout = list(sphere.chunk_layout(spec, 1000, 64))
-        for workers in (1, 2, 5):
-            assert list(sphere.map_chunks(lambda c: c, spec, 1000, 64, workers)) == layout
+    def test_map_chunks_order_and_errors(self, monkeypatch):
+        # fn gets each chunk's start and draws, and its results come back in
+        # chunk order for any thread count; the first failing chunk in that
+        # order raises
+        spec, n, count = StreamSpec(35, 0), 2, 6 * CHUNK + 100
+        layout = [
+            (lo, sample_unit_vectors(spawn_stream(substream), n, hi - lo))
+            for lo, hi, substream in sphere.chunk_layout(spec, count)
+        ]
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
+            got = list(sphere.map_chunks(lambda lo, x: (lo, x), spec, n, count))
+            assert [lo for lo, _ in got] == [lo for lo, _ in layout]
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(got, layout))
 
-        def fail_from_chunk_4(chunk):
-            if chunk[0] >= 4 * 64:
-                raise RuntimeError(f"chunk at {chunk[0]}")
-            return chunk[0]
+        def fail_from_chunk_4(lo, x):
+            if lo >= 4 * CHUNK:
+                raise RuntimeError(f"chunk at {lo}")
+            return lo
 
-        results = sphere.map_chunks(fail_from_chunk_4, spec, 1000, 64, 3)
-        assert [next(results) for _ in range(4)] == [0, 64, 128, 192]
-        with pytest.raises(RuntimeError, match="chunk at 256"):
+        monkeypatch.setattr(sphere, "_cpus", lambda: 3)
+        results = sphere.map_chunks(fail_from_chunk_4, spec, n, count)
+        assert [next(results) for _ in range(4)] == [0, CHUNK, 2 * CHUNK, 3 * CHUNK]
+        with pytest.raises(RuntimeError, match=f"chunk at {4 * CHUNK}"):
             next(results)
 
     def test_prefix_stability(self):
         # a longer run extends a shorter one without changing its draws
         spec = StreamSpec(33, 0)
-        short = sample_unit_vectors_chunked(spec, 2, 300, chunk_size=128)
-        long = sample_unit_vectors_chunked(spec, 2, 700, chunk_size=128)
-        assert np.array_equal(long[:300], short)
+        short = sample_unit_vectors_chunked(spec, 2, CHUNK + 300)
+        long = sample_unit_vectors_chunked(spec, 2, 3 * CHUNK + 100)
+        assert np.array_equal(long[:CHUNK + 300], short)
 
 
 def test_coordinate_weight_concentration():
