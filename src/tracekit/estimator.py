@@ -33,7 +33,6 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, normalized_trace
 from .sphere import (
-    _BLOCK_ROWS,
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
     StreamSpec,
@@ -253,6 +252,9 @@ def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
             )
 
 
+_BLOCK_ROWS = 512  # rows per block: bounds temporaries, not the values
+
+
 def _row_blocks(x: np.ndarray, row_values, dtype) -> np.ndarray:
     """row_values of the rows of x, one row block at a time."""
     values = np.empty(len(x), dtype=dtype)
@@ -395,7 +397,7 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     return float(max_gap), unitarity
 
 
-def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec, *, z: float = 3.0):
+def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec):
     """Estimate the normalized traces of AB and BA from independent draws.
 
     The second estimate runs on the paired substream block at
@@ -407,6 +409,6 @@ def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec, *, z: flo
     bm = as_matrix(b, "b")
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    rep_ab = estimate_matrix_trace(am @ bm, n_samples, spec, z=z)
-    rep_ba = estimate_matrix_trace(bm @ am, n_samples, spec.offset(CHUNK_OFFSET_PAIRED), z=z)
+    rep_ab = estimate_matrix_trace(am @ bm, n_samples, spec)
+    rep_ba = estimate_matrix_trace(bm @ am, n_samples, spec.offset(CHUNK_OFFSET_PAIRED))
     return rep_ab, rep_ba

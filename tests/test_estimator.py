@@ -240,27 +240,27 @@ class TestEstimateTrace:
         assert r1.mean != r3.mean
 
     def test_worker_count_invariance(self, monkeypatch):
-        # one thread per CPU: 3 chunks on 1, 3 or 8 CPUs give bitwise equal
-        # reports
+        # one thread per CPU, up to one per chunk: 10 chunks on 1, 3 or 8
+        # CPUs (neither 3 nor 8 divides 10) give bitwise equal reports
         rng = np.random.default_rng(211)
         op = LinearOperator.from_matrix(crandn(rng, 6, 6))
+        count = 9 * sphere.CHUNK_SIZE + 17
         reports = []
         for cpus in (1, 3, 8):
             monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
-            reports.append(estimate_trace(op, 10000, StreamSpec(3, 0)))
+            reports.append(estimate_trace(op, count, StreamSpec(3, 0)))
         assert reports[0] == reports[1] == reports[2]
 
     def test_default_threads_match_serial(self, monkeypatch):
-        # the default config runs one thread per CPU; with 3 of them and 5
-        # chunks the report equals the serial one bitwise
+        # unpatched, the thread count is one per CPU in the process's
+        # affinity; with 5 chunks the report equals the one-thread report
         rng = np.random.default_rng(214)
         op = LinearOperator.from_matrix(crandn(rng, 7, 7))
         count = 4 * sphere.CHUNK_SIZE + 17
-        monkeypatch.setattr(sphere, "_cpus", lambda: 3)
-        threaded = estimate_trace(op, count, StreamSpec(4, 0))
+        default = estimate_trace(op, count, StreamSpec(4, 0))
         monkeypatch.setattr(sphere, "_cpus", lambda: 1)
         serial = estimate_trace(op, count, StreamSpec(4, 0))
-        assert threaded == serial
+        assert default == serial
 
     def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
         # each of two threads holds its chunk's draws and a few row-block
