@@ -53,11 +53,20 @@ def _fmt(x: float) -> str:
 
 
 def _numbered_lines(lines, start: int):
-    """Yield (line_number, stripped_content) skipping comments and blanks."""
+    """Yield (line_number, stripped_content) skipping comments and blanks.
+
+    Size and data lines must be ASCII without '_': int() and float() also
+    accept digit separators and non-ASCII digits, which Matrix Market
+    numbers never contain.
+    """
     for number, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
+        if not raw.isascii() or "_" in raw:
+            raise MatrixMarketError(
+                f"line {number}: numbers must be ASCII, without '_' separators"
+            )
         yield number, line
 
 
@@ -100,16 +109,19 @@ def parse_matrix_market(text) -> np.ndarray:
     integer; symmetry general, symmetric, or hermitian.  Symmetric and
     hermitian inputs must be square, store only entries with
     row >= column, and a hermitian diagonal entry must have zero
-    imaginary part.  Coordinate duplicates are summed.  Anything else,
+    imaginary part.  Coordinate duplicates are summed.  Numbers are ASCII,
+    without '_' digit separators.  Anything else,
     including a wrong entry count or a coordinate size whose dense array
     would exceed MAX_DENSE_BYTES, raises MatrixMarketError with the line
     number.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise MatrixMarketError("line 1: empty input, expected %%MatrixMarket header")
+    # lines end at "\n" only: str.splitlines also breaks at \x0b, \x0c,
+    # \x1c-\x1e, \x85, \u2028 and \u2029, turning one data line into several
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket":
         raise MatrixMarketError(

@@ -231,6 +231,9 @@ class TestMatrixMarketWrite:
         assert lines[1] == "% first"
         assert lines[2] == "% second"
         assert np.array_equal(parse_matrix_market(text), np.eye(1))
+        # comments stay free text: non-ASCII and '_' are only refused in numbers
+        text = write_matrix_market(np.eye(1), comment="naïve ١ 1_0")
+        assert np.array_equal(parse_matrix_market(text), np.eye(1))
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(504)

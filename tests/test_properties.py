@@ -1,0 +1,106 @@
+"""Property tests: malformed input ends in a documented error, never a traceback.
+
+Matrix Market text, arbitrary or near-valid, either parses to a finite
+2-D array or raises MatrixMarketError / ValueError, and the CLI on such a
+file exits 0, 1 or 2.  Declared sizes stay small, so no example allocates
+much; examples are derandomized so every run checks the same inputs.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from tracekit.cli import main  # noqa: E402
+from tracekit.formats import MatrixMarketError, parse_matrix_market  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+# tokens near the grammar's edges: small indices and sizes, extreme and
+# non-finite numbers, and numerals Python reads but Matrix Market does not
+JUNK = ["", "-", "+", ".", "e5", "abc", "0x10", "1_0", "1_000.5", "١", "２.5",
+        "nan", "inf", "-inf", "1e999", "9" * 400, "1e308", "-1.7e308", "5e-324"]
+TOKENS = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(JUNK),
+)
+LINES = st.lists(TOKENS, max_size=5).map(" ".join)
+
+
+@st.composite
+def near_valid(draw):
+    """A valid Matrix Market file of at most 4 x 4, then maybe one line changed."""
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    field = draw(st.sampled_from(["real", "complex", "integer"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric", "hermitian"]))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4)) if symmetry == "general" else rows
+    cells = [(i, j) for j in range(cols) for i in range(rows)
+             if symmetry == "general" or i >= j]
+    if fmt == "coordinate":
+        cells = draw(st.lists(st.sampled_from(cells), max_size=6))
+    number = (st.integers(-9, 9).map(str) if field == "integer"
+              else st.floats(-1e3, 1e3).map(repr))
+    lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}",
+             f"{rows} {cols}" + (f" {len(cells)}" if fmt == "coordinate" else "")]
+    for i, j in cells:
+        index = [str(i + 1), str(j + 1)] if fmt == "coordinate" else []
+        value = [draw(number)]
+        if field == "complex":
+            value.append("0" if symmetry == "hermitian" and i == j else draw(number))
+        lines.append(" ".join(index + value))
+    k = draw(st.integers(1, len(lines) - 1))
+    change = draw(st.sampled_from(["none", "token", "line", "drop", "repeat"]))
+    if change == "token":
+        tokens = lines[k].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
+        lines[k] = " ".join(tokens)
+    elif change == "line":
+        lines[k] = draw(LINES)
+    elif change == "drop":
+        del lines[k]
+    elif change == "repeat":
+        lines.insert(k, lines[k])
+    return "\n".join(lines) + "\n"
+
+
+MATRIX_MARKET = st.one_of(near_valid(), st.text(max_size=200),
+                          st.text(max_size=200).map(lambda t: "%%MatrixMarket " + t))
+
+
+@SETTINGS
+@given(MATRIX_MARKET)
+def test_parse_gives_finite_matrix_or_value_error(text):
+    try:
+        a = parse_matrix_market(text)
+    except ValueError as exc:  # MatrixMarketError is a ValueError
+        if isinstance(exc, MatrixMarketError):
+            assert str(exc).startswith("line ")
+        return
+    assert isinstance(a, np.ndarray) and a.ndim == 2
+    assert np.all(np.isfinite(a))
+
+
+@SETTINGS
+@given(MATRIX_MARKET, st.sampled_from([
+    ["estimate", "--samples", "16"],
+    ["decompose"],
+    ["check-invariance", "--random-unitary", "--samples", "16"],
+]))
+def test_cli_exits_with_a_documented_code(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.mm"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tracekit import uniqueness
+from tracekit.cli import main
 from tracekit.linalg import matrix_unit, normalized_trace
 from tracekit.sphere import StreamSpec, gaussian_matrix, spawn_stream
 from tracekit.uniqueness import (
@@ -124,6 +126,59 @@ class TestSolve:
         solution = solve_unique_functional(3, normalization=c)
         gap = np.max(np.abs(solution.values - c * np.eye(3) / 3))
         assert gap <= 1e-12 * abs(c)
+
+
+def reweighted_build(weights):
+    """build_constraint_system with the normalization row set to weights(n)."""
+    build = uniqueness.build_constraint_system
+
+    def patched(n, normalization=1.0 + 0j):
+        system = build(n, normalization)
+        lhs = system.lhs.copy()
+        lhs[-1] = weights(n).reshape(-1)
+        return ConstraintSystem(dim=n, lhs=lhs, rhs=system.rhs)
+
+    return patched
+
+
+class TestSolveReadsComponents:
+    """The values are derived from the system, not written as (c / n) I."""
+
+    def test_bitwise_normalized_identity(self):
+        eps = np.finfo(np.float64).eps
+        for n in range(1, 9):
+            solution = solve_unique_functional(n)
+            expected = (np.eye(n) / n).astype(np.complex128)
+            assert solution.values.tobytes() == expected.tobytes()
+            assert solution.residual <= n * eps
+
+    def test_values_follow_normalization_weights(self, monkeypatch):
+        # weight 2 on each diagonal unknown: w = 2n, so v[i][i] = c / (2n)
+        monkeypatch.setattr(
+            uniqueness, "build_constraint_system",
+            reweighted_build(lambda n: 2.0 * np.eye(n)),
+        )
+        c = 3.0 - 1.0j
+        eps = np.finfo(np.float64).eps
+        for n in (1, 3, 8):
+            solution = solve_unique_functional(n, normalization=c)
+            assert solution.nullspace_dim == 1
+            assert np.array_equal(solution.values, np.eye(n) * (c / (2 * n)))
+            assert solution.residual <= 2 * n * eps * abs(c)
+
+    def test_normalization_off_the_free_component_raises(self, monkeypatch, capsys):
+        # a row on the forced-zero off-diagonal unknowns cannot fix f
+        monkeypatch.setattr(
+            uniqueness, "build_constraint_system",
+            reweighted_build(lambda n: np.ones((n, n)) - np.eye(n)),
+        )
+        for n in (1, 2, 8):
+            with pytest.raises(ArithmeticError, match="normalization"):
+                solve_unique_functional(n)
+        assert main(["uniqueness", "--dim", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestEvaluate:
