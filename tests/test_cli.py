@@ -166,6 +166,14 @@ class TestEstimate:
         assert code == 1
         assert "nested too deeply" in err
 
+    def test_json_integer_beyond_float_range_exits_1(self, capsys, tmp_path):
+        # an input error, not a failed numerical check
+        path = tmp_path / "big.json"
+        path.write_text("[[[1" + "0" * 400 + ", 0]]]")
+        code, out, err = run(capsys, "estimate", str(path), "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: entry (0, 0)[0]: non-finite value")
+
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", "line 3"),
@@ -387,7 +395,7 @@ class TestUsage:
         own = {
             "estimate": {"--format", "--samples", "--z", "--raw", "--no-check"},
             "decompose": {"--format", "--tolerance", "--det-one"},
-            "uniqueness": {"--tolerance", "--dim"},
+            "uniqueness": {"--dim"},
             "check-invariance": {"--format", "--samples", "--tolerance",
                                  "--unitary", "--random-unitary"},
             "sample": {"--dim", "--count"},

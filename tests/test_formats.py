@@ -119,6 +119,22 @@ class TestMatrixMarketParse:
         )
         assert parse_matrix_market(text)[0, 0] == 3.0
 
+    def test_coordinate_duplicates_sum_in_file_order(self):
+        # float addition is not associative: 1e16 + 1 rounds back to 1e16
+        head = "%%MatrixMarket matrix coordinate real general\n1 1 3\n"
+        assert parse_matrix_market(head + "1 1 1e16\n1 1 1\n1 1 -1e16\n")[0, 0] == 0.0
+        assert parse_matrix_market(head + "1 1 1e16\n1 1 -1e16\n1 1 1\n")[0, 0] == 1.0
+
+    def test_signed_zeros_kept(self):
+        real = parse_matrix_market("%%MatrixMarket matrix array real general\n2 1\n-0\n0\n")
+        assert np.signbit(real.real).ravel().tolist() == [True, False]
+        assert not np.signbit(real.imag).any()
+        pairs = parse_matrix_market(
+            "%%MatrixMarket matrix array complex general\n1 2\n-0 -0\n0.0 -0.0\n"
+        )
+        assert np.signbit(pairs.real).ravel().tolist() == [True, False]
+        assert np.signbit(pairs.imag).ravel().tolist() == [True, True]
+
     def test_accepts_bytes(self):
         text = b"%%MatrixMarket matrix array real general\n1 1\n2.0\n"
         assert parse_matrix_market(text)[0, 0] == 2.0
@@ -190,6 +206,21 @@ class TestMatrixMarketErrors:
         with pytest.raises(MatrixMarketError, match="line 4: non-finite"):
             parse_matrix_market(head + "9" * 400 + "\n")
 
+    @pytest.mark.parametrize("text, line", [
+        # each file has two faults, the later kind on the earlier line; the
+        # kinds are reported in the order: a line outside the grammar, the
+        # entry count, an index out of range, row < column in symmetric
+        # storage, a non-finite value, a hermitian diagonal imaginary part
+        ("coordinate real general\n2 2 2\n3 1 1.0\n1 1 x\n", "line 4: expected"),
+        ("coordinate real general\n2 2 1\n3 1 1.0\n1 1 1.0\n", "line 4: extra data"),
+        ("coordinate real symmetric\n2 2 2\n1 2 1.0\n3 1 1.0\n", "line 4: index out of"),
+        ("coordinate real symmetric\n2 2 2\n1 1 nan\n1 2 1.0\n", "line 4: symmetric storage"),
+        ("coordinate complex hermitian\n2 2 2\n1 1 1 1\n2 1 inf 0\n", "line 4: non-finite"),
+    ], ids=["grammar", "count", "index", "row-column", "non-finite"])
+    def test_faults_reported_by_kind(self, text, line):
+        with pytest.raises(MatrixMarketError, match="^" + line):
+            parse_matrix_market("%%MatrixMarket matrix " + text)
+
     def test_symmetric_requires_square(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n"
         with pytest.raises(MatrixMarketError, match="square"):
@@ -235,6 +266,18 @@ class TestMatrixMarketWrite:
         text = write_matrix_market(np.eye(1), comment="naïve ١ 1_0")
         assert np.array_equal(parse_matrix_market(text), np.eye(1))
 
+    def test_template_matches_per_entry_formula(self):
+        a = np.array([[complex(-0.0, 0.0), complex(5e-324, -0.0), 1e308],
+                      [complex(-1e308, 1e308), complex(0.1, -2.5), complex(3.0, -0.0)]])
+        lines = ["%%MatrixMarket matrix array complex general", "2 3"]
+        for j in range(3):
+            for i in range(2):
+                lines.append("%.17g %.17g" % (a[i, j].real, a[i, j].imag))
+        expected = "\n".join(lines) + "\n"
+        assert write_matrix_market(a) == expected
+        assert write_matrix_market(np.asfortranarray(a)) == expected
+        assert parse_matrix_market(expected).tobytes() == a.tobytes()
+
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(504)
         a = crandn(rng, 3, 3)
@@ -263,6 +306,17 @@ class TestJsonDense:
             parse_json_dense('[[["a",0]]]')
         with pytest.raises(ValueError, match="number"):
             parse_json_dense("[[[true,0]]]")
+
+    def test_integer_beyond_float_range_rejected(self):
+        # float() raises OverflowError, an ArithmeticError, on such an integer
+        huge = "1" + "0" * 400
+        with pytest.raises(ValueError, match=r"entry \(0, 0\)\[0\]: non-finite value"):
+            parse_json_dense(f"[[[{huge}, 0]]]")
+        with pytest.raises(ValueError, match="stderr: non-finite value"):
+            parse_report_json(
+                f'{{"n": 1, "samples": 1, "mean": [0, 0], "stderr": -{huge},'
+                ' "ci_radius": 0, "seed": 0, "exact": null}'
+            )
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError, match="JSON"):

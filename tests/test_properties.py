@@ -1,9 +1,10 @@
 """Property tests: malformed input ends in a documented error, never a traceback.
 
-Matrix Market text, arbitrary or near-valid, either parses to a finite
-2-D array or raises MatrixMarketError / ValueError, and the CLI on such a
-file exits 0, 1 or 2.  Declared sizes stay small, so no example allocates
-much; examples are derandomized so every run checks the same inputs.
+Matrix Market and dense JSON text, arbitrary or near-valid, either parses
+to a finite 2-D array or raises MatrixMarketError / ValueError, and the
+CLI on such a file exits 0, 1 or 2.  Declared sizes stay small, so no
+example allocates much; examples are derandomized so every run checks the
+same inputs.
 """
 
 import contextlib
@@ -18,7 +19,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tracekit.cli import main  # noqa: E402
-from tracekit.formats import MatrixMarketError, parse_matrix_market  # noqa: E402
+from tracekit.formats import (  # noqa: E402
+    MatrixMarketError,
+    parse_json_dense,
+    parse_matrix_market,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -88,6 +93,41 @@ def test_parse_gives_finite_matrix_or_value_error(text):
     assert np.all(np.isfinite(a))
 
 
+def per_entry(text):
+    """Reference: the matrix of a well-formed file, built one entry at a time."""
+    head, *lines = text.split("\n")
+    fmt, field, symmetry = head.lower().split()[2:]
+    size, *lines = [s for line in lines if (s := line.strip()) and s[0] != "%"]
+    rows, cols = map(int, size.split()[:2])
+    cells = iter([(i, j) for j in range(cols) for i in range(rows)
+                  if symmetry == "general" or i >= j])
+    a = np.zeros((rows, cols), dtype=np.complex128)
+    for line in lines:
+        tokens = line.split()
+        if fmt == "coordinate":
+            i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
+            a[i, j] = a[i, j] + complex(*map(float, tokens[2:]))
+        else:
+            i, j = next(cells)
+            a[i, j] = complex(*map(float, tokens))
+    low = np.tril(a, -1)
+    if symmetry == "symmetric":
+        a = a + low.T
+    elif symmetry == "hermitian":
+        a = a + np.conj(low).T
+    return a
+
+
+@SETTINGS
+@given(near_valid())
+def test_parse_matches_per_entry_reference(text):
+    try:
+        a = parse_matrix_market(text)
+    except MatrixMarketError:
+        return
+    assert a.tobytes() == per_entry(text).tobytes()
+
+
 @SETTINGS
 @given(MATRIX_MARKET, st.sampled_from([
     ["estimate", "--samples", "16"],
@@ -101,6 +141,81 @@ def test_cli_exits_with_a_documented_code(text, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+
+
+# JSON numbers near the dense format's edges: integers beyond float range,
+# overflowing and non-finite floats, and values that are not numbers
+JSON_JUNK = ["1" + "0" * 400, "-" + "9" * 400, "1e400", "-1e400", "NaN", "-Infinity",
+             "true", "false", "null", '"1"', "[]", "{}", "-0.0", "5e-324", "1e308"]
+JSON_NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(JSON_JUNK),
+)
+
+
+def _json_list(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+@st.composite
+def near_valid_json(draw):
+    """Dense JSON rows of [re, im] pairs, at most 4 x 4, then maybe one part changed."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entries = [[_json_list([draw(JSON_NUMBERS), draw(JSON_NUMBERS)]) for _ in range(cols)]
+               for _ in range(rows)]
+    i = draw(st.integers(0, rows - 1))
+    j = draw(st.integers(0, cols - 1))
+    change = draw(st.sampled_from(["none", "ragged", "entry", "row", "nest"]))
+    if change == "ragged":
+        del entries[i][j]
+    elif change == "entry":
+        pair = st.lists(JSON_NUMBERS, max_size=3).map(_json_list)
+        entries[i][j] = draw(st.one_of(JSON_NUMBERS, pair))
+    elif change == "row":
+        entries[i] = [draw(JSON_NUMBERS)]
+    text = _json_list(_json_list(row) for row in entries)
+    if change == "nest":
+        depth = draw(st.sampled_from([1, 2, 100000]))
+        text = "[" * depth + text + "]" * depth
+    return text
+
+
+JSON_TEXT = st.one_of(
+    near_valid_json(),
+    st.text(max_size=200),
+    st.lists(st.sampled_from(["[", "]", ", ", "0", "1.5", *JSON_JUNK]), max_size=30).map("".join),
+)
+
+
+@SETTINGS
+@given(JSON_TEXT)
+def test_json_parse_gives_finite_matrix_or_value_error(text):
+    try:
+        a = parse_json_dense(text)
+    except ValueError:
+        return
+    assert isinstance(a, np.ndarray) and a.ndim == 2
+    assert np.all(np.isfinite(a))
+
+
+@SETTINGS
+@given(JSON_TEXT, st.sampled_from([
+    ["estimate", "--samples", "16"],
+    ["decompose"],
+    ["check-invariance", "--random-unitary", "--samples", "16"],
+]))
+def test_cli_on_json_exits_with_a_documented_code(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), "--format", "json", *argv[1:]])
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error:")
