@@ -15,7 +15,6 @@ from tracekit import (
     StreamSpec,
     commutation_estimate_check,
     decompose_into_unitaries,
-    operator_norm_hermitian,
     sample_unit_vector,
     spawn_stream,
     substitution_identity_check,
@@ -25,10 +24,10 @@ rng = np.random.default_rng(3)
 n = 6
 a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
-# build a unitary from the decomposition of a Hermitian contraction
+# build a unitary from the decomposition of a Hermitian matrix, which
+# rescales it to a contraction by max(||H||, 1) itself
 g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 h = (g + g.conj().T) / 2
-h = h / max(operator_norm_hermitian(h), 1.0)
 b = decompose_into_unitaries(h).unitaries[0]
 print(f"||B*B - I||_F = {np.linalg.norm(b.conj().T @ b - np.eye(n)):.2e}")
 

@@ -5,7 +5,7 @@ U = H - i (I - H^2)^(1/2) unitary: in an eigenbasis each eigenvalue
 lambda in [-1, 1] becomes lambda - i sqrt(1 - lambda^2), a point on the
 unit circle whose real part is lambda.  An arbitrary A = H1 + i H2 with
 Hermitian parts H1, H2 then needs at most four unitaries, two per part,
-after dividing each part by its operator norm to make it a contraction.
+each from one eigensolve of its part H, with phases of w / max(||H||, 1).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eigh, operator_norm_hermitian
+from .linalg import as_matrix, hermitian_eigh
 from .sphere import StreamSpec, gaussian_matrix, spawn_stream
 
 __all__ = [
@@ -34,12 +34,14 @@ def hermitian_parts(a) -> Tuple[np.ndarray, np.ndarray]:
 
     Both parts are Hermitian by construction, exactly so in floating
     point since entries (j, k) and (k, j) are formed from the same two
-    input entries.
+    input entries.  Raises ValueError if a part overflows float64.
     """
     m = as_matrix(a)
     ms = np.conj(m).T
-    h1 = (m + ms) / 2.0
-    h2 = (m - ms) / 2j
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1, h2 = (m + ms) / 2.0, (m - ms) / 2j
+    if not (np.isfinite(h1).all() and np.isfinite(h2).all()):
+        raise ValueError("Hermitian parts overflow float64; rescale the matrix")
     return h1, h2
 
 
@@ -51,17 +53,18 @@ def hermitian_contraction_to_unitary(h) -> np.ndarray:
     ValueError if H is not Hermitian or its operator norm exceeds
     1 + 1e-12.
     """
-    hm = as_matrix(h, "hermitian contraction")
-    w, q = hermitian_eigh(hm)
+    w, q = hermitian_eigh(as_matrix(h, "hermitian contraction"))
     norm = max(abs(w[0]), abs(w[-1]))
     if norm > 1.0 + 1e-12:
-        raise ValueError(
-            f"not a contraction: operator norm {norm:.12g} exceeds 1; "
-            f"rescale by the operator norm first"
-        )
+        raise ValueError(f"not a contraction: operator norm {norm:.12g} exceeds 1; "
+                         f"rescale by the operator norm first")
+    return _phase_unitary(w, q)
+
+
+def _phase_unitary(w, q) -> np.ndarray:
+    """Q diag(lam - i sqrt(1 - lam^2)) Q* with lam = w clipped to [-1, 1]."""
     lam = np.clip(w, -1.0, 1.0)
-    phases = lam - 1j * np.sqrt(1.0 - lam * lam)
-    return np.ascontiguousarray((q * phases) @ np.conj(q).T)
+    return np.ascontiguousarray((q * (lam - 1j * np.sqrt(1.0 - lam * lam))) @ np.conj(q).T)
 
 
 @dataclass
@@ -99,13 +102,14 @@ def _residuals(a: np.ndarray, coeffs, units) -> Tuple[float, float]:
 def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     """Write a square matrix as a sum of at most four weighted unitaries.
 
-    Each Hermitian part H with operator norm h contributes the two terms
-    (h/2) U and (h/2) U* built from the contraction H / max(h, 1); parts
-    already contractions are not scaled, so a Hermitian contraction
-    comes back as exactly 0.5 U + 0.5 U*.  Parts with h = 0 contribute
-    nothing; the zero matrix yields the single term 0 * I.  With
-    det_one=True every term is passed through rephase_to_det_one, and
-    the residuals are those of the rephased terms.
+    Each Hermitian part H = Q diag(w) Q* is solved once.  Its operator
+    norm h = max |w| gives the two terms (h/2) U and (h/2) U*, with U
+    formed from Q and w / max(h, 1), the eigenvalues of the contraction
+    H / max(h, 1); a Hermitian contraction is not scaled and comes back
+    as exactly 0.5 U + 0.5 U*.  Parts with h = 0 contribute nothing;
+    the zero matrix yields the single term 0 * I.  With det_one=True
+    every term is passed through rephase_to_det_one, and the residuals
+    are those of the rephased terms.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -113,11 +117,12 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     coeffs: List[complex] = []
     units: List[np.ndarray] = []
     for h, front in ((h1, 1.0 + 0j), (h2, 1j)):
-        norm = operator_norm_hermitian(h)
+        w, q = hermitian_eigh(h)
+        norm = float(max(abs(w[0]), abs(w[-1])))
         if norm == 0.0:
             continue
         scale = max(norm, 1.0)
-        u = hermitian_contraction_to_unitary(h / scale)
+        u = _phase_unitary(w / scale, q)
         half = front * (scale / 2.0)
         coeffs.extend([half, half])
         units.extend([u, np.ascontiguousarray(np.conj(u).T)])
@@ -128,21 +133,14 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
         rephased = [rephase_to_det_one(u, c) for c, u in zip(coeffs, units)]
         units = [u for u, _ in rephased]
         coeffs = [c for _, c in rephased]
-    recon, ures = _residuals(m, coeffs, units)
-    return UnitaryDecomposition(
-        dim=n,
-        coefficients=coeffs,
-        unitaries=units,
-        reconstruction_residual=recon,
-        unitarity_residual=ures,
-    )
+    return UnitaryDecomposition(n, coeffs, units, *_residuals(m, coeffs, units))
 
 
 def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
     """A random n x n unitary from the substream at `spec`: the first term of
-    the decomposition of H / max(||H||, 1), H the Hermitian part of gaussian_matrix."""
+    the decomposition of H, the Hermitian part of gaussian_matrix; one solve
+    of H gives its eigenvalues w, and the phases come from w / max(||H||, 1)."""
     h = hermitian_parts(gaussian_matrix(spawn_stream(spec), n))[0]
-    h = h / max(operator_norm_hermitian(h), 1.0)
     return decompose_into_unitaries(h).unitaries[0]
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,18 @@ class TestDecompose:
         _, first, _ = run(capsys, "decompose", random_file, "--det-one")
         _, second, _ = run(capsys, "decompose", random_file, "--det-one")
         assert first == second
+
+    def test_overflowing_hermitian_parts_exit_1_with_one_line(self, capsys, tmp_path):
+        # every entry is finite, but (A + A*) / 2 forms 2e308 on the way
+        path = tmp_path / "big.mm"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n"
+                        + "1e308\n" * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "decompose", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Hermitian parts overflow float64" in err
 
 
 class TestUniqueness:

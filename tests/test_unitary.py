@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tracekit.linalg import operator_norm_hermitian
+from tracekit import linalg, unitary
+from tracekit.linalg import hermitian_eigh, operator_norm_hermitian
 from tracekit.sphere import StreamSpec
 from tracekit.unitary import (
     decompose_into_unitaries,
@@ -186,6 +187,56 @@ class TestDecompose:
         assert dec.reconstruction_residual <= 1e-10 * np.linalg.norm(a)
         assert dec.unitarity_residual <= 1e-10 * 5
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_coefficients_are_half_the_rescaled_norms(self, n):
+        # the norm comes from the same eigensolve as the unitary, and equals
+        # operator_norm_hermitian of the part bit for bit
+        rng = np.random.default_rng(310 + n)
+        a = 3.0 * crandn(rng, n, n)
+        dec = decompose_into_unitaries(a)
+        expected = []
+        for part, front in zip(hermitian_parts(a), (1.0 + 0j, 1j)):
+            half = front * max(operator_norm_hermitian(part), 1.0) / 2.0
+            expected += [half, half]
+        assert dec.coefficients == expected
+
+    def test_contraction_parts_map_bitwise(self):
+        rng = np.random.default_rng(311)
+        a = 0.5 * random_contraction(rng, 6) + 0.5j * random_contraction(rng, 6)
+        parts = hermitian_parts(a)
+        assert all(operator_norm_hermitian(p) < 1.0 for p in parts)
+        units = decompose_into_unitaries(a).unitaries
+        for k, part in enumerate(parts):
+            u = hermitian_contraction_to_unitary(part)
+            assert np.array_equal(units[2 * k], u)
+            assert np.array_equal(units[2 * k + 1], u.conj().T)
+
+
+class TestSolveCount:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Arguments of every hermitian_eigh call, made directly from
+        tracekit.unitary or through a linalg helper such as the norm."""
+        seen = []
+
+        def counting(h, *args, **kwargs):
+            seen.append(np.array(h))
+            return hermitian_eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(unitary, "hermitian_eigh", counting)
+        monkeypatch.setattr(linalg, "hermitian_eigh", counting)
+        return seen
+
+    def test_one_solve_per_hermitian_part(self, solves):
+        rng = np.random.default_rng(312)
+        decompose_into_unitaries(crandn(rng, 8, 8))
+        assert len(solves) == 2
+
+    def test_seeded_unitary_solves_once(self, solves):
+        seeded_unitary(StreamSpec(5, 7), 6)
+        # the second call gets the exactly zero anti-Hermitian part
+        assert [bool(h.any()) for h in solves] == [True, False]
+
 
 class TestSeededUnitary:
     def test_unitary_and_reproducible(self):
@@ -193,6 +244,14 @@ class TestSeededUnitary:
         assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-12
         assert np.array_equal(u, seeded_unitary(StreamSpec(5, 7), 6))
         assert not np.array_equal(u, seeded_unitary(StreamSpec(5, 8), 6))
+
+    def test_unitary_at_n32(self):
+        # the norm of H is ~10 here, so every eigenvalue is rescaled, and
+        # the bound grows with n as the CLI's unitarity gate does
+        n = 32
+        u = seeded_unitary(StreamSpec(5, 7), n)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
+        assert np.array_equal(u, seeded_unitary(StreamSpec(5, 7), n))
 
 
 class TestDeterminant:
