@@ -32,7 +32,6 @@ from .formats import (
     write_report_json,
 )
 from .linalg import (
-    ConvergenceError,
     EigenDecomposition,
     adjoint,
     frobenius_norm,
@@ -70,7 +69,6 @@ from .unitary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "EigenDecomposition",
     "EstimateReport",
     "FunctionalSolution",

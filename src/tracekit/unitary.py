@@ -145,22 +145,8 @@ def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
 
 
 def determinant(a) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting."""
-    m = as_matrix(a).copy()
-    n = m.shape[0]
-    det = 1.0 + 0j
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[p, k] == 0:
-            return 0j
-        if p != k:
-            m[[k, p], k:] = m[[p, k], k:]
-            det = -det
-        det *= m[k, k]
-        factors = m[k + 1 :, k] / m[k, k]
-        m[k + 1 :, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
-    det *= m[n - 1, n - 1]
-    return complex(det)
+    """Determinant by LU factorisation with partial pivoting (numpy.linalg.det)."""
+    return complex(np.linalg.det(as_matrix(a)))
 
 
 def rephase_to_det_one(u, coefficient: complex = 1.0 + 0j):

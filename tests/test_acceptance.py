@@ -170,7 +170,7 @@ def test_criterion_8_eigensolver_residuals():
         assert np.linalg.norm((q * w) @ q.conj().T - h) <= 1e-10 * scale
         assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-10 * scale
     print(
-        "PASS 8: Jacobi eigendecompositions reconstruct and stay unitary "
+        "PASS 8: Hermitian eigendecompositions reconstruct and stay unitary "
         "within 1e-10 bounds (100 matrices, n <= 16)"
     )
 

@@ -428,7 +428,8 @@ class TestUsage:
 def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
     # scipy.special is only needed to sample; importing it costs most of the
     # CLI's start-up time.  numpy.ma (~10 ms), which np.unique and np.isin
-    # import on first use, is not needed either
+    # import on first use, is not needed either, nor is scipy.linalg (~0.2 s):
+    # the eigensolve and the determinant come from numpy.linalg
     matrix = tmp_path / "a.mm"
     matrix.write_text(write_matrix_market(np.array([[1.0, 2.0], [3.0, 4.0]])))
     script = (
@@ -436,7 +437,8 @@ def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
         "from tracekit.cli import main\n"
         f"assert main(['uniqueness', '--dim', '2', '--output', {str(tmp_path / 'u.json')!r}]) == 0\n"
         f"assert main(['decompose', {str(matrix)!r}, '--output', {str(tmp_path / 'd.json')!r}]) == 0\n"
-        "print('scipy.special' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "print('scipy.special' in sys.modules, 'numpy.ma' in sys.modules,\n"
+        "      'scipy.linalg' in sys.modules)\n"
     )
     src = str(Path(tracekit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -444,4 +446,4 @@ def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False False\n"
+    assert result.stdout == "False False False\n"

@@ -1,24 +1,28 @@
-"""Validators, matrix units, traces, and the Jacobi eigensolver.
+"""Validators, matrix units, traces, and the Hermitian eigensolve.
 
-Eigensolver results are cross-checked against numpy.linalg (LAPACK),
-which shares no code with the round-robin Jacobi implementation.
+`hermitian_eigh` is LAPACK's, so its results are checked against
+identities that need no eigensolver (trace and Frobenius norm of the
+spectrum, reconstruction, unitarity) as well as against `eigvalsh`.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from tracekit.linalg import (
-    ConvergenceError,
     adjoint,
     as_matrix,
     as_vector,
     frobenius_norm,
-    _round_robin,
     hermitian_eigh,
     matrix_unit,
     normalized_trace,
     operator_norm_hermitian,
 )
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def crandn(rng, *shape):
@@ -150,6 +154,7 @@ class TestHermitianEigh:
         np.testing.assert_allclose(
             q.conj().T @ q, np.eye(2), atol=1e-12
         )
+        assert q.flags.c_contiguous
 
     def test_diagonal_input_is_exact(self):
         w, q = hermitian_eigh(np.diag([3.0, 1.0, 2.0]))
@@ -161,18 +166,6 @@ class TestHermitianEigh:
         w, q = hermitian_eigh(np.eye(4))
         assert np.array_equal(w, np.ones(4))
         assert np.array_equal(q, np.eye(4))
-
-    def test_round_robin_schedule(self):
-        # each sweep pairs every p < r exactly once, in rounds of disjoint pairs
-        for n in range(1, 10):
-            rounds = list(_round_robin(n))
-            assert len(rounds) == n - 1 + n % 2
-            seen = []
-            for p, r in rounds:
-                assert len(p) == n // 2 and np.all(p < r)
-                assert len(set(p) | set(r)) == 2 * len(p)
-                seen += zip(p.tolist(), r.tolist())
-            assert sorted(seen) == [(p, r) for p in range(n) for r in range(p + 1, n)]
 
     def test_oracle_consistency_random(self):
         rng = np.random.default_rng(104)
@@ -197,6 +190,11 @@ class TestHermitianEigh:
             np.testing.assert_allclose(
                 w, np.linalg.eigvalsh(h), atol=1e-10 * scale
             )
+            # the spectrum's sum and sum of squares, without an eigensolver:
+            # sum(w) = Re tr H and sum(w^2) = ||H||_F^2
+            fro = np.linalg.norm(h)
+            assert abs(w.sum() - np.trace(h).real) <= 4 * n * EPS * fro
+            assert abs(np.sum(w * w) - fro**2) <= 4 * n * EPS * fro**2
             # reconstruction and unitarity
             assert np.linalg.norm((q * w) @ q.conj().T - h) <= 1e-10 * scale
             assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-10 * n
@@ -207,14 +205,33 @@ class TestHermitianEigh:
         assert np.all(np.diff(w) >= 0)
 
     def test_rejects_nonhermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigh([[0.0, 1.0], [0.0, 0.0]])
+        # at 1e200 the norm overflows float64, which must not make the
+        # tolerance inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e100, 1e200):
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    hermitian_eigh([[0.0, scale], [0.0, 0.0]])
 
-    def test_rejects_tiny_sweep_cap(self):
+    def test_huge_scale_spectrum(self):
+        # ||H||_F^2 overflows float64, the spectrum does not
+        h = np.array([[1e200, 2e200], [2e200, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, q = hermitian_eigh(h)
+            np.testing.assert_allclose(w, [-np.sqrt(5) * 1e200, np.sqrt(5) * 1e200], rtol=1e-12)
+            # the reconstruction residual, divided by 1e200 so no square overflows
+            assert np.linalg.norm((q * (w / 1e200)) @ q.conj().T - h / 1e200) <= 1e-12
+
+    def test_solves_the_hermitian_average(self):
+        # LAPACK reads one triangle; drift in the other, inside the
+        # Hermitian check, must count as the average of both
         rng = np.random.default_rng(106)
         h = random_hermitian(rng, 12)
-        with pytest.raises(ConvergenceError):
-            hermitian_eigh(h, sweep_cap=1)
+        h = h + 1e-14 * np.triu(crandn(rng, 12, 12), 1)
+        w, q = hermitian_eigh(h)
+        w_avg, q_avg = hermitian_eigh((h + h.conj().T) / 2)
+        assert np.array_equal(w, w_avg) and np.array_equal(q, q_avg)
 
 
 def test_operator_norm_matches_numpy():

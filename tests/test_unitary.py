@@ -107,6 +107,9 @@ class TestContractionToUnitary:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_contraction_to_unitary([[0.0, 1.0], [0.0, 0.0]])
+        # the norm of this one overflows float64
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_contraction_to_unitary([[0.0, 1e200], [0.0, 0.0]])
 
     def test_edge_eigenvalue_clamping(self):
         # operator norm can land on 1 + few ulps after scaling; the
