@@ -11,22 +11,22 @@ complex Gaussians; each coordinate weight |x_i|^2 averages 1/n.
 import numpy as np
 
 from tracekit import (
+    GaussianStream,
     StreamSpec,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
-    spawn_stream,
 )
 
 spec = StreamSpec(master_seed=42, stream_index=0)
 
 # same spec, same vectors, bitwise; a stream replays from its spec
-x1 = sample_unit_vectors(spawn_stream(spec), 4, 3)
-x2 = sample_unit_vectors(spawn_stream(spec), 4, 3)
+x1 = sample_unit_vectors(GaussianStream(spec), 4, 3)
+x2 = sample_unit_vectors(GaussianStream(spec), 4, 3)
 print(f"replay is bitwise identical: {np.array_equal(x1, x2)}")
 
 # one batch of 10 equals two batches of 5 back to back
-whole = sample_unit_vectors(spawn_stream(spec), 4, 10)
-stream = spawn_stream(spec)
+whole = sample_unit_vectors(GaussianStream(spec), 4, 10)
+stream = GaussianStream(spec)
 halves = np.vstack([sample_unit_vectors(stream, 4, 5), sample_unit_vectors(stream, 4, 5)])
 print(f"batch split agrees         : {np.array_equal(whole, halves)}")
 

@@ -33,7 +33,6 @@ from .formats import (
 )
 from .linalg import (
     EigenDecomposition,
-    adjoint,
     frobenius_norm,
     hermitian_eigh,
     matrix_unit,
@@ -48,7 +47,6 @@ from .sphere import (
     sample_unit_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
-    spawn_stream,
 )
 from .uniqueness import (
     FunctionalSolution,
@@ -78,7 +76,6 @@ __all__ = [
     "RunningStats",
     "StreamSpec",
     "UnitaryDecomposition",
-    "adjoint",
     "build_constraint_system",
     "commutation_estimate_check",
     "decompose_into_unitaries",
@@ -105,7 +102,6 @@ __all__ = [
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
     "solve_unique_functional",
-    "spawn_stream",
     "stats_from_values",
     "substitution_identity_check",
     "verify_tracial_on_random_pairs",

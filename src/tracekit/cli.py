@@ -26,7 +26,7 @@ from .formats import (
     write_json_dense,
     write_report_json,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, frobenius_norm
 from .sphere import CHUNK_OFFSET_PROBES, StreamSpec, sample_unit_vectors_chunked
 from .uniqueness import solve_unique_functional
 from .unitary import decompose_into_unitaries, determinant, seeded_unitary
@@ -140,20 +140,20 @@ def cmd_estimate(args) -> int:
     report = estimate_matrix_trace(
         a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw
     )
-    abs_error = report.abs_error()
-    _emit(write_report_json(report, abs_error=abs_error), args)
-    if args.no_check:
-        return 0
     # rounding in the mean alone reaches ~eps * n * ||A||_F (times n for the
     # raw trace), which a near-constant spectrum's stderr can undercut
     n = a.shape[0]
-    floor = np.finfo(np.float64).eps * n * float(np.linalg.norm(a)) * (n if args.raw else 1)
-    return 0 if abs_error <= max(args.z * report.stderr, floor) else 2
+    floor = np.finfo(np.float64).eps * n * frobenius_norm(a) * (n if args.raw else 1)
+    _emit(write_report_json(report), args)
+    if args.no_check:
+        return 0
+    return 0 if report.abs_error() <= max(args.z * report.stderr, floor) else 2
 
 
 def cmd_decompose(args) -> int:
     a = _load_matrix(args.matrix, args.format)
     dec = decompose_into_unitaries(a, det_one=args.det_one)
+    scale = max(1.0, frobenius_norm(a))
     doc = {
         "n": dec.dim,
         "terms": [
@@ -168,7 +168,6 @@ def cmd_decompose(args) -> int:
         "unitarity_residual": dec.unitarity_residual,
     }
     _emit(dumps(doc) + "\n", args)
-    scale = max(1.0, float(np.linalg.norm(a)))
     ok = (dec.reconstruction_residual <= args.tolerance * scale
           and dec.unitarity_residual <= args.tolerance * dec.dim)
     return 0 if ok else 2
@@ -197,7 +196,7 @@ def cmd_check_invariance(args) -> int:
     max_gap, unitarity = substitution_identity_sweep(
         a, b, args.samples, StreamSpec(args.seed, 0)
     )
-    bound = args.tolerance * (1.0 + float(np.linalg.norm(a)))
+    bound = args.tolerance * (1.0 + frobenius_norm(a))
     doc = {
         "n": a.shape[0],
         "samples": args.samples,

@@ -35,10 +35,10 @@ from .linalg import as_matrix, as_vector, normalized_trace
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
+    GaussianStream,
     StreamSpec,
     gaussian_vector,
     map_chunks,
-    spawn_stream,
 )
 
 __all__ = [
@@ -174,21 +174,22 @@ class RunningStats:
 
 
 def stats_from_values(values) -> RunningStats:
-    """Two-pass statistics of a 1-d array of complex values."""
+    """Two-pass statistics of a 1-d array of complex values, inf or nan on overflow."""
     v = np.ascontiguousarray(values, dtype=np.complex128)
     if v.ndim != 1:
         raise ValueError(f"values must be 1-dimensional, got shape {v.shape}")
     if v.size == 0:
         return RunningStats()
-    mean = complex(v.mean())
-    dre = v.real - mean.real
-    dim = v.imag - mean.imag
-    return RunningStats(
-        count=v.size,
-        mean=mean,
-        m2_re=float(np.sum(dre * dre)),
-        m2_im=float(np.sum(dim * dim)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = complex(v.mean())
+        dre = v.real - mean.real
+        dim = v.imag - mean.imag
+        return RunningStats(
+            count=v.size,
+            mean=mean,
+            m2_re=float(np.sum(dre * dre)),
+            m2_im=float(np.sum(dim * dim)),
+        )
 
 
 def merge_stats(a: RunningStats, b: RunningStats) -> RunningStats:
@@ -233,7 +234,7 @@ class EstimateReport:
 
 def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
     """Spot-check additivity and homogeneity on three random Gaussian probes."""
-    stream = spawn_stream(spec.offset(CHUNK_OFFSET_PROBES))
+    stream = GaussianStream(spec.offset(CHUNK_OFFSET_PROBES))
     for k in range(3):
         u = gaussian_vector(stream, op.dim)
         v = gaussian_vector(stream, op.dim)
@@ -256,10 +257,11 @@ _BLOCK_ROWS = 512  # rows per block: bounds temporaries, not the values
 
 
 def _row_blocks(x: np.ndarray, row_values, dtype) -> np.ndarray:
-    """row_values of the rows of x, one row block at a time."""
+    """row_values of the rows of x, one row block at a time, inf or nan on overflow."""
     values = np.empty(len(x), dtype=dtype)
-    for b in range(0, len(x), _BLOCK_ROWS):
-        values[b:b + _BLOCK_ROWS] = row_values(x[b:b + _BLOCK_ROWS])
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check for it
+        for b in range(0, len(x), _BLOCK_ROWS):
+            values[b:b + _BLOCK_ROWS] = row_values(x[b:b + _BLOCK_ROWS])
     return values
 
 
@@ -276,7 +278,7 @@ def estimate_trace(
     Unless the operator is marked assume_linear, three random probes
     verify linearity first; a failed probe raises ValueError.  A
     non-finite sample value raises FloatingPointError naming the sample
-    index.
+    index, and a mean or stderr that overflows float64 raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -302,6 +304,8 @@ def estimate_trace(
         total = merge_stats(total, part)
 
     stderr = total.stderr()
+    if not np.isfinite([total.mean, stderr]).all():
+        raise ValueError("sample statistics overflow float64; rescale the matrix")
     return EstimateReport(
         dim=op.dim,
         sample_count=n_samples,
@@ -318,10 +322,14 @@ def estimate_matrix_trace(
     """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
 
     raw=True reports the trace tr(A) itself: mean, stderr, ci_radius and
-    exact are all multiplied by n.
+    exact are all multiplied by n.  A non-finite sample value raises
+    ValueError: the entries are finite, so it is an overflow.
     """
     m = as_matrix(a)
-    report = estimate_trace(LinearOperator.from_matrix(m), n_samples, spec, z=z)
+    try:
+        report = estimate_trace(LinearOperator.from_matrix(m), n_samples, spec, z=z)
+    except FloatingPointError as exc:
+        raise ValueError(f"{exc}: float64 overflow; rescale the matrix") from None
     report.exact = normalized_trace(m)
     if not raw:
         return report
@@ -342,8 +350,9 @@ def _unitary_pair(a, b):
     bm = as_matrix(b, "b")
     if bm.shape != am.shape:
         raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
-    ures = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
-    if ures > 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge B gives inf or nan: both fail
+        ures = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
+    if not ures <= 1e-10:
         raise ValueError(f"b is not unitary: ||B*B - I||_F = {ures:.3e}")
     return am, bm, ures
 
@@ -378,8 +387,9 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     """
     am, bm, unitarity = _unitary_pair(a, b)
     b_conj = np.conj(bm)
-    ab_t = (am @ bm).T
-    ba_t = (bm @ am).T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
+        ab_t = (am @ bm).T
+        ba_t = (bm @ am).T
 
     def gaps(z: np.ndarray) -> np.ndarray:
         # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
@@ -394,6 +404,8 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     max_gap = 0.0
     for part in map_chunks(chunk_max, spec, am.shape[0], n_samples):
         max_gap = np.maximum(max_gap, part)  # keeps a NaN
+    if not np.isfinite(max_gap):  # A and B are finite: only an overflow does this
+        raise ValueError("substitution identity overflows float64; rescale the matrix")
     return float(max_gap), unitarity
 
 

@@ -225,15 +225,12 @@ def parse_matrix_market(text) -> np.ndarray:
     return a
 
 
-def write_matrix_market(a, comment: str = None) -> str:
+def write_matrix_market(a) -> str:
     """Render a dense matrix as 'array complex general' Matrix Market text."""
     m = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix must be 2-dimensional and nonempty, got {m.shape}")
-    out = ["%%MatrixMarket matrix array complex general"]
-    if comment:
-        out.extend("% " + line for line in comment.splitlines())
-    out.append("%d %d" % m.shape)
+    out = ["%%MatrixMarket matrix array complex general", "%d %d" % m.shape]
     # one %-template over the column-major (re, im) floats
     floats = m.T.ravel().view(np.float64).tolist()
     out.append("\n".join(["%.17g %.17g"] * m.size) % tuple(floats))
@@ -261,8 +258,8 @@ def _complex_from_pair(item, where: str) -> complex:
 
 
 def _load_json(text):
-    try:
-        return json.loads(text)
+    try:  # %.17g writes -0.0 as "-0", to be read back as a float, not the integer 0
+        return json.loads(text, parse_int=lambda token: -0.0 if token == "-0" else int(token))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     except RecursionError:  # a RuntimeError, which would read as a failed check
@@ -372,12 +369,12 @@ def _emit(value, pieces) -> None:
         raise ValueError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def write_report_json(report: EstimateReport, abs_error: float = None) -> str:
+def write_report_json(report: EstimateReport) -> str:
     """Serialize an estimate report with a fixed key order.
 
     Keys: n, samples, mean, stderr, ci_radius, seed, exact, and
-    abs_error when one is supplied.  `exact` is null unless the report
-    carries the exact value.
+    abs_error = report.abs_error() when the report carries the exact
+    value; otherwise `exact` is null and abs_error is left out.
     """
     doc = {
         "n": report.dim,
@@ -388,8 +385,8 @@ def write_report_json(report: EstimateReport, abs_error: float = None) -> str:
         "seed": report.spec.master_seed,
         "exact": None if report.exact is None else complex_pair(report.exact),
     }
-    if abs_error is not None:
-        doc["abs_error"] = float(abs_error)
+    if report.exact is not None:
+        doc["abs_error"] = report.abs_error()
     return dumps(doc) + "\n"
 
 

@@ -13,13 +13,13 @@ residuals, computed from the unitaries it returns.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "EigenDecomposition",
-    "adjoint",
     "as_matrix",
     "as_vector",
     "frobenius_norm",
@@ -60,14 +60,16 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return _as_complex(v, name, 1)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose.  Entrywise exact, so adjoint(adjoint(a)) == a bitwise."""
-    return np.ascontiguousarray(np.conj(np.asarray(a)).T)
-
-
 def frobenius_norm(a) -> float:
-    """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
+    """np.linalg.norm(a / 2**e) * 2**e, 2**e just above the largest |component|:
+    bitwise np.linalg.norm(a) where that neither overflows nor underflows, as
+    both scalings are exact.  Raises ValueError if the norm overflows float64."""
+    x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e).view(np.complex128))), e)
+    except OverflowError:
+        raise ValueError("Frobenius norm overflows float64; rescale the matrix") from None
 
 
 def normalized_trace(a) -> complex:
@@ -107,7 +109,7 @@ def _require_hermitian(h: np.ndarray, name: str) -> None:
     peak = float(np.abs(h).max())
     if peak == 0.0:
         return
-    s = h / peak
+    s = (h.view(np.float64) / peak).view(np.complex128)  # h / peak overflows if peak is tiny
     asym = float(np.linalg.norm(s - np.conj(s).T))
     tol = 1e-12 * max(1.0 / peak, float(np.linalg.norm(s)))
     if asym > tol:
@@ -123,14 +125,15 @@ def hermitian_eigh(h) -> EigenDecomposition:
     Returns eigenvalues in nondecreasing order together with a unitary
     matrix of eigenvectors (as columns, C-contiguous): h == Q diag(w) Q*.
     LAPACK reads one triangle, so the solve is of the exactly Hermitian
-    average (h + h*) / 2, which differs from h by no more than the check.
+    average h/2 + h*/2 (halved first, so it is finite), which differs from
+    h by no more than the check.
 
     Raises ValueError if the input fails the Hermitian check
     ||h - h*||_F <= 1e-12 * max(1, ||h||_F).
     """
     h0 = as_matrix(h, "hermitian matrix")
     _require_hermitian(h0, "matrix")
-    return EigenDecomposition(*np.linalg.eigh((h0 + np.conj(h0).T) / 2.0))
+    return EigenDecomposition(*np.linalg.eigh(h0 / 2.0 + np.conj(h0).T / 2.0))
 
 
 def operator_norm_hermitian(h) -> float:

@@ -15,8 +15,8 @@ counter position to draw is fixed for all time.
 A unit vector in C^n consumes exactly 2n words: entry k is built from
 words (2k, 2k+1) as (real, imag), then the vector is divided by its
 Euclidean norm.  Rotation invariance of the Gaussian makes the result
-uniform on the sphere.  In the measure-zero event that the norm
-underflows below 1e-150 the 2n words are discarded and redrawn.
+uniform on the sphere.  A normal is 0 only for top 53 bits 2**52, and at
+least ~1.39e-16 otherwise; a row whose 2n normals are all 0 is redrawn.
 
 Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
 sample j of a run based at stream_index b is drawn from stream
@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "StreamSpec",
     "GaussianStream",
-    "spawn_stream",
     "gaussian_vector",
     "gaussian_matrix",
     "sample_unit_vector",
@@ -62,7 +61,6 @@ CHUNK_OFFSET_PROBES = 2**48
 # Rows a chunk is evaluated in at a time, bounding its temporaries; every
 # per-row result is the same for any height.
 _BLOCK_ROWS = 512
-_TINY_NORM = 1e-150
 _U_MAX = 1.0 - 2.0**-53  # largest double below 1
 _U64 = np.uint64
 
@@ -121,10 +119,6 @@ class GaussianStream:
         return ndtri(u, out=u)
 
 
-def spawn_stream(spec: StreamSpec) -> GaussianStream:
-    return GaussianStream(spec)
-
-
 def _complex_normals(stream: GaussianStream, *shape: int) -> np.ndarray:
     """Standard complex Gaussians of `shape`, in row-major order: entry k
     takes words (2k, 2k+1) as (real, imag)."""
@@ -154,10 +148,10 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarray:
     """Draw `count` unit vectors as the rows of a (count, n) complex array.
 
-    Consumes exactly 2*n words per vector (plus 2*n per underflow
-    redraw, which at 1e-150 never happens in practice; redraws come after
-    all 2*n*count words).  Each row is divided by sqrt(sum(re^2 + im^2))
-    of its entries.
+    Consumes exactly 2*n words per vector, plus 2*n per redraw of a row
+    whose 2*n normals are all exactly zero; redraws come after all
+    2*n*count words.  Each row is divided by sqrt(sum(re^2 + im^2)) of
+    its entries.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -171,7 +165,7 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
         stream.gaussians(2 * n * (hi - lo), out=flat[2 * n * lo:2 * n * hi])
         norms[lo:hi] = _row_norms(z[lo:hi])
     while True:
-        bad = np.flatnonzero(norms < _TINY_NORM)
+        bad = np.flatnonzero(norms == 0.0)
         if bad.size == 0:
             break
         z[bad] = _complex_normals(stream, bad.size, n)
@@ -221,7 +215,7 @@ def map_chunks(fn, spec: StreamSpec, n: int, count: int):
     """
     def run(chunk):
         lo, hi, substream = chunk
-        return fn(lo, sample_unit_vectors(spawn_stream(substream), n, hi - lo))
+        return fn(lo, sample_unit_vectors(GaussianStream(substream), n, hi - lo))
 
     layout = chunk_layout(spec, count)
     threads = min(_cpus(), -(-count // CHUNK_SIZE))

@@ -9,7 +9,7 @@ all A, B; on the units, with e_ij e_kl = (j == k) e_il, this reads
 one homogeneous equation per index tuple (n^4 of them), and forcing the
 off-diagonal values to zero and the diagonal values equal.  The
 homogeneous solution space is one-dimensional, so adding the single
-normalization sum_i v[i][i] = c pins down v == (c / n) I exactly: the
+normalization f(I) = sum_i v[i][i] = 1 pins down v == I / n exactly: the
 normalized trace is the only normalized tracial functional.  Both the
 dimension and the values are read off the connected components of the
 equations v_a = v_b, exactly and with no float solve.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import StreamSpec, gaussian_matrix, spawn_stream
+from .sphere import GaussianStream, StreamSpec, gaussian_matrix
 
 __all__ = [
     "ConstraintSystem",
@@ -38,7 +38,7 @@ _MAX_DIM = 8  # n^4 + 1 rows; above this the system stops being "small"
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Linear system lhs @ vec(v) = rhs over the n^2 unknowns v[i][j].
+    """Linear system lhs @ vec(v) = e_last over the n^2 unknowns v[i][j].
 
     Row r < n^4 encodes the tuple (i, j, k, l) with r = ((i*n + j)*n + k)*n + l;
     the last row is the normalization.  Unknown v[i][j] sits at column i*n + j.
@@ -46,23 +46,20 @@ class ConstraintSystem:
 
     dim: int
     lhs: np.ndarray  # (n^4 + 1, n^2) float64
-    rhs: np.ndarray  # (n^4 + 1,) complex128
 
 
-def build_constraint_system(n: int, normalization: complex = 1.0 + 0j) -> ConstraintSystem:
-    """Assemble the tracial constraints plus sum_i v[i][i] = normalization."""
+def build_constraint_system(n: int) -> ConstraintSystem:
+    """Assemble the tracial constraints plus sum_i v[i][i] = 1."""
     if not 1 <= n <= _MAX_DIM:
         raise ValueError(f"dimension must be in [1, {_MAX_DIM}], got {n}")
     rows = n**4 + 1
     lhs = np.zeros((rows, n * n), dtype=np.float64)
-    rhs = np.zeros(rows, dtype=np.complex128)
     i, j, k, l = np.indices((n,) * 4).reshape(4, -1)  # the tuple of each row r < n^4
     r = np.arange(n**4)
     lhs[r, i * n + l] += j == k
     lhs[r, k * n + j] -= l == i
     lhs[-1, :: n + 1] = 1.0  # the diagonal unknowns v[d][d]
-    rhs[-1] = complex(normalization)
-    return ConstraintSystem(dim=n, lhs=lhs, rhs=rhs)
+    return ConstraintSystem(dim=n, lhs=lhs)
 
 
 def _components(system: ConstraintSystem) -> tuple[np.ndarray, list[int]]:
@@ -113,21 +110,21 @@ class FunctionalSolution:
 
     dim: int
     values: np.ndarray  # (n, n) complex128
-    residual: float  # max |lhs @ vec(v) - rhs|
+    residual: float  # max |lhs @ vec(v) - e_last|
     nullspace_dim: int  # of the homogeneous system; 1 certifies uniqueness
 
 
-def solve_unique_functional(n: int, normalization: complex = 1.0 + 0j) -> FunctionalSolution:
+def solve_unique_functional(n: int) -> FunctionalSolution:
     """Read the functional off the constraint components, certified unique.
 
     No float solve: unknowns in a component holding a forced-zero unknown
-    are 0, and the one free component takes normalization / w, where w sums
-    the normalization row over its unknowns, giving (normalization / n) * I.
+    are 0, and the one free component takes 1 / w, where w sums the
+    normalization row over its unknowns, giving I / n.
     Returns the values, the max-abs residual of the full system and the
     nullspace dimension.  Raises ArithmeticError if that dimension is not 1
     or w == 0, since then the normalization would not determine f.
     """
-    system = build_constraint_system(n, normalization)
+    system = build_constraint_system(n)
     labels, free = _components(system)
     if len(free) != 1:
         raise ArithmeticError(
@@ -138,10 +135,11 @@ def solve_unique_functional(n: int, normalization: complex = 1.0 + 0j) -> Functi
     weight = float(np.sum(system.lhs[-1, component]))
     if weight == 0.0:
         raise ArithmeticError("the normalization row does not fix the free component")
-    vec = np.where(component, complex(system.rhs[-1]) / weight, 0j)
+    vec = np.where(component, 1.0 / weight, 0j)
     # the float lhs times vec's (re, im) columns, without a complex copy of lhs
-    product = (system.lhs @ vec.view(np.float64).reshape(-1, 2)).view(np.complex128)
-    residual = float(np.max(np.abs(product[:, 0] - system.rhs)))
+    product = (system.lhs @ vec.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
+    product[-1] -= 1.0  # the right-hand side e_last
+    residual = float(np.max(np.abs(product)))
     return FunctionalSolution(
         dim=n,
         values=vec.reshape(n, n),
@@ -164,7 +162,7 @@ def verify_tracial_on_random_pairs(
     """Max |f(AB) - f(BA)| over random Gaussian pairs; small means tracial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    stream = spawn_stream(spec)
+    stream = GaussianStream(spec)
     n = solution.dim
     worst = 0.0
     for _ in range(trials):

@@ -15,8 +15,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eigh
-from .sphere import StreamSpec, gaussian_matrix, spawn_stream
+from .linalg import as_matrix, frobenius_norm, hermitian_eigh
+from .sphere import GaussianStream, StreamSpec, gaussian_matrix
 
 __all__ = [
     "hermitian_parts",
@@ -96,7 +96,7 @@ def _residuals(a: np.ndarray, coeffs, units) -> Tuple[float, float]:
     for c, u in zip(coeffs, units):
         total += c * u
         ures = max(ures, float(np.linalg.norm(np.conj(u).T @ u - eye)))
-    return float(np.linalg.norm(total - a)), ures
+    return frobenius_norm(total - a), ures
 
 
 def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
@@ -140,7 +140,7 @@ def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
     """A random n x n unitary from the substream at `spec`: the first term of
     the decomposition of H, the Hermitian part of gaussian_matrix; one solve
     of H gives its eigenvalues w, and the phases come from w / max(||H||, 1)."""
-    h = hermitian_parts(gaussian_matrix(spawn_stream(spec), n))[0]
+    h = hermitian_parts(gaussian_matrix(GaussianStream(spec), n))[0]
     return decompose_into_unitaries(h).unitaries[0]
 
 

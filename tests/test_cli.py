@@ -269,6 +269,33 @@ class TestDecompose:
         assert "Hermitian parts overflow float64" in err
 
 
+SUBCOMMANDS = [["estimate"], ["decompose"], ["check-invariance", "--random-unitary"]]
+
+
+# every entry is finite; scale None is the 2 x 2 matrix of 1e308s, whose
+# decompose test_overflowing_hermitian_parts_exit_1_with_one_line covers
+@pytest.mark.parametrize("argv, scale", [
+    *[(argv, scale) for scale in (1e160, 1e200, 1e300) for argv in SUBCOMMANDS],
+    (SUBCOMMANDS[0], None), (SUBCOMMANDS[2], None),
+], ids=lambda x: x if isinstance(x, float) else x and x[0])
+def test_huge_scale_exits_0_or_asks_to_rescale(capsys, tmp_path, argv, scale):
+    if scale is None:
+        a = np.full((2, 2), 1e308)
+    else:
+        a = crandn(np.random.default_rng(600), 4, 4) * scale
+    path = tmp_path / "a.mm"
+    path.write_text(write_matrix_market(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    if code == 0:
+        assert err == "" and json.loads(out)  # dumps writes no inf or nan
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rescale the matrix" in err
+
+
 class TestUniqueness:
     def test_dim_2(self, capsys):
         code, out, _ = run(capsys, "uniqueness", "--dim", "2")

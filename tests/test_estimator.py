@@ -1,6 +1,7 @@
 """Trace estimation: value kernel, statistics, determinism, invariance."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from tracekit.estimator import (
 )
 from tracekit.linalg import matrix_unit, normalized_trace
 from tracekit.sphere import (
+    GaussianStream,
     StreamSpec,
     sample_unit_vector,
     sample_unit_vectors_chunked,
-    spawn_stream,
 )
 
 
@@ -102,7 +103,7 @@ class TestNumericalValue:
         g = crandn(rng, 7, 7)
         op = LinearOperator.from_matrix((g + g.conj().T) / 2)
         for _ in range(20):
-            x = sample_unit_vector(spawn_stream(StreamSpec(5, 0)), 7)
+            x = sample_unit_vector(GaussianStream(StreamSpec(5, 0)), 7)
             assert abs(numerical_value(op, x).imag) <= 1e-12
 
     def test_rejects_zero_vector_and_mismatch(self):
@@ -350,7 +351,7 @@ class TestSubstitutionIdentity:
     def test_identity_b_is_exact(self):
         rng = np.random.default_rng(214)
         a = crandn(rng, 4, 4)
-        z = sample_unit_vector(spawn_stream(StreamSpec(6, 0)), 4)
+        z = sample_unit_vector(GaussianStream(StreamSpec(6, 0)), 4)
         lhs, rhs, gap = substitution_identity_check(a, np.eye(4), z)
         assert lhs == rhs
         assert gap == 0.0
@@ -359,7 +360,7 @@ class TestSubstitutionIdentity:
         rng = np.random.default_rng(215)
         a = crandn(rng, 2, 2)
         b = np.diag([1j, -1j])
-        z = sample_unit_vector(spawn_stream(StreamSpec(7, 0)), 2)
+        z = sample_unit_vector(GaussianStream(StreamSpec(7, 0)), 2)
         lhs, rhs, gap = substitution_identity_check(a, b, z)
         assert gap <= 1e-12
 
@@ -368,14 +369,19 @@ class TestSubstitutionIdentity:
         for n in (2, 5, 8):
             a = crandn(rng, n, n)
             q, _ = np.linalg.qr(crandn(rng, n, n))
-            z = sample_unit_vector(spawn_stream(StreamSpec(n, 0)), n)
+            z = sample_unit_vector(GaussianStream(StreamSpec(n, 0)), n)
             _, _, gap = substitution_identity_check(a, q, z)
             assert gap <= 1e-10 * (1.0 + np.linalg.norm(a))
 
     def test_rejects_non_unitary(self):
+        # a huge B whose B*B overflows to nan is no unitary either
         z = np.array([1.0, 0.0])
-        with pytest.raises(ValueError, match="not unitary"):
-            substitution_identity_check(np.eye(2), matrix_unit(0, 0, 2), z)
+        huge = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (matrix_unit(0, 0, 2), huge):
+                with pytest.raises(ValueError, match="not unitary"):
+                    substitution_identity_check(np.eye(2), b, z)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -418,6 +424,14 @@ class TestSubstitutionSweep:
             crandn(rng, 4, 4), np.eye(4), 300, StreamSpec(2, 0)
         ) == (0.0, 0.0)
 
+    def test_overflow_asks_to_rescale(self):
+        # A is finite, but A x overflows for some draws, so a gap is nan
+        a = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rescale the matrix"):
+                substitution_identity_sweep(a, np.eye(2), 64, StreamSpec(0, 0))
+
     def test_rejects_non_unitary_and_mismatch(self):
         with pytest.raises(ValueError, match="not unitary"):
             substitution_identity_sweep(np.eye(2), 2.0 * np.eye(2), 10, StreamSpec(0, 0))
@@ -437,6 +451,16 @@ class TestEstimateMatrixTrace:
         assert (raw.mean, raw.stderr, raw.ci_radius, raw.exact) == (
             rep.mean * 5, rep.stderr * 5, rep.ci_radius * 5, rep.exact * 5
         )
+
+    @pytest.mark.parametrize("a, samples", [
+        (np.full((2, 2), 1e308), 16),  # some <A x, x> reach 2e308
+        (np.diag([1e160, -1e160]), 16),  # squared deviations reach 1e320
+    ])
+    def test_overflow_asks_to_rescale(self, a, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rescale the matrix"):
+                estimate_matrix_trace(a, samples, StreamSpec(0, 0))
 
 
 class TestCommutationCheck:

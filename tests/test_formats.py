@@ -257,14 +257,11 @@ class TestMatrixMarketWrite:
         assert [float(tok) for tok in lines[2].split()] == [1.0, 2.0]
 
     def test_comment_lines(self):
-        text = write_matrix_market(np.eye(1), comment="first\nsecond")
-        lines = text.splitlines()
-        assert lines[1] == "% first"
-        assert lines[2] == "% second"
-        assert np.array_equal(parse_matrix_market(text), np.eye(1))
         # comments stay free text: non-ASCII and '_' are only refused in numbers
-        text = write_matrix_market(np.eye(1), comment="naïve ١ 1_0")
-        assert np.array_equal(parse_matrix_market(text), np.eye(1))
+        header, rest = write_matrix_market(np.eye(1)).split("\n", 1)
+        for comment in ("% first\n% second", "% naïve ١ 1_0"):
+            text = f"{header}\n{comment}\n{rest}"
+            assert np.array_equal(parse_matrix_market(text), np.eye(1))
 
     def test_template_matches_per_entry_formula(self):
         a = np.array([[complex(-0.0, 0.0), complex(5e-324, -0.0), 1e308],
@@ -291,11 +288,13 @@ class TestJsonDense:
         )
 
     def test_exact_round_trip(self):
+        # bitwise: -0.0 is written as "-0", which must not read as the integer 0
         rng = np.random.default_rng(505)
         for trial in range(100):
             rows = int(rng.integers(1, 7))
             a = crandn(rng, rows, rows)
-            assert np.array_equal(parse_json_dense(write_json_dense(a)), a)
+            a.flat[rng.integers(0, a.size, 3)] = [-0.0, complex(0.0, -0.0), -5e-324]
+            assert parse_json_dense(write_json_dense(a)).tobytes() == a.tobytes()
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
@@ -381,14 +380,17 @@ class TestReportJson:
         doc = json.loads(write_report_json(self.report()))
         assert list(doc) == [
             "n", "samples", "mean", "stderr", "ci_radius", "seed", "exact",
+            "abs_error",
         ]
         assert doc["mean"] == [0.25, -0.125]
         assert doc["seed"] == 42
 
     def test_abs_error_key_optional(self):
-        doc = json.loads(write_report_json(self.report(), abs_error=0.125))
-        assert list(doc)[-1] == "abs_error"
-        assert doc["abs_error"] == 0.125
+        # derived from the report, and written only when it carries `exact`
+        rep = self.report()
+        assert json.loads(write_report_json(rep))["abs_error"] == rep.abs_error() == 0.125
+        rep.exact = None
+        assert "abs_error" not in json.loads(write_report_json(rep))
 
     def test_null_exact(self):
         rep = self.report()
@@ -399,6 +401,11 @@ class TestReportJson:
         rep = self.report()
         back = parse_report_json(write_report_json(rep))
         assert back == rep
+        # == cannot see the sign of zero; the bytes can
+        rep.mean, rep.exact = complex(-0.0, -0.125), complex(0.25, -0.0)
+        back = parse_report_json(write_report_json(rep))
+        for field in ("mean", "stderr", "ci_radius", "exact"):
+            assert np.array(getattr(back, field)).tobytes() == np.array(getattr(rep, field)).tobytes()
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError, match="missing"):

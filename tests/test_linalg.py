@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tracekit.linalg import (
-    adjoint,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -79,17 +78,25 @@ class TestValidation:
             as_vector([np.nan])
 
 
-def test_adjoint_involution_is_bitwise():
-    rng = np.random.default_rng(100)
-    a = crandn(rng, 5, 5)
-    assert np.array_equal(adjoint(adjoint(a)), a)
-    assert np.array_equal(adjoint(a), np.conj(a).T)
-
-
 def test_frobenius_norm_matches_numpy():
     rng = np.random.default_rng(101)
-    a = crandn(rng, 6, 6)
-    assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-15)
+    for n in range(1, 65):
+        a = crandn(rng, n, n)
+        assert frobenius_norm(a) == float(np.linalg.norm(a))  # bitwise
+
+
+def test_frobenius_norm_at_any_scale():
+    # scaling by a power of two is exact, where np.linalg.norm's squares
+    # overflow (2**600) or underflow (2**-600)
+    a = crandn(np.random.default_rng(102), 5, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (600, -600):
+            assert frobenius_norm(a * 2.0**k) == frobenius_norm(a) * 2.0**k
+        assert frobenius_norm([5e-324]) == 5e-324
+        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+        with pytest.raises(ValueError, match="rescale"):
+            frobenius_norm(np.full((2, 2), 1e308))
 
 
 def test_normalized_trace_diagonal():
@@ -222,6 +229,21 @@ class TestHermitianEigh:
             np.testing.assert_allclose(w, [-np.sqrt(5) * 1e200, np.sqrt(5) * 1e200], rtol=1e-12)
             # the reconstruction residual, divided by 1e200 so no square overflows
             assert np.linalg.norm((q * (w / 1e200)) @ q.conj().T - h / 1e200) <= 1e-12
+
+    def test_average_does_not_overflow(self):
+        # (h + h*) / 2 overflows at 1e308; the average halves before it adds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = hermitian_eigh([[1e308, 0.0], [0.0, 0.0]])
+            assert np.array_equal(w, [0.0, 1e308])
+            assert operator_norm_hermitian([[1e308, 0.0], [0.0, 0.0]]) == 1e308
+
+    def test_subnormal_input_without_warning(self):
+        # dividing by a subnormal peak as complex numbers overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = hermitian_eigh(np.full((2, 2), 5e-324))
+        assert np.all(np.abs(w - [0.0, 1e-323]) <= 1e-323)
 
     def test_solves_the_hermitian_average(self):
         # LAPACK reads one triangle; drift in the other, inside the

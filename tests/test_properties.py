@@ -41,7 +41,8 @@ LINES = st.lists(TOKENS, max_size=5).map(" ".join)
 
 @st.composite
 def near_valid(draw):
-    """A valid Matrix Market file of at most 4 x 4, then maybe one line changed."""
+    """A valid Matrix Market file of at most 4 x 4, its real and complex
+    entries at scale 1, 1e160 or 1e300, then maybe one line changed."""
     fmt = draw(st.sampled_from(["array", "coordinate"]))
     field = draw(st.sampled_from(["real", "complex", "integer"]))
     symmetry = draw(st.sampled_from(["general", "symmetric", "hermitian"]))
@@ -51,8 +52,9 @@ def near_valid(draw):
              if symmetry == "general" or i >= j]
     if fmt == "coordinate":
         cells = draw(st.lists(st.sampled_from(cells), max_size=6))
+    scale = draw(st.sampled_from([1.0, 1e160, 1e300]))
     number = (st.integers(-9, 9).map(str) if field == "integer"
-              else st.floats(-1e3, 1e3).map(repr))
+              else st.floats(-1e3, 1e3).map(lambda x: repr(x * scale)))
     lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}",
              f"{rows} {cols}" + (f" {len(cells)}" if fmt == "coordinate" else "")]
     for i, j in cells:
@@ -128,6 +130,7 @@ def test_parse_matches_per_entry_reference(text):
     assert a.tobytes() == per_entry(text).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @SETTINGS
 @given(MATRIX_MARKET, st.sampled_from([
     ["estimate", "--samples", "16"],
@@ -203,6 +206,7 @@ def test_json_parse_gives_finite_matrix_or_value_error(text):
     assert np.all(np.isfinite(a))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @SETTINGS
 @given(JSON_TEXT, st.sampled_from([
     ["estimate", "--samples", "16"],

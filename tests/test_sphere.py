@@ -17,7 +17,6 @@ from tracekit.sphere import (
     sample_unit_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
-    spawn_stream,
 )
 
 CHUNK = sphere.CHUNK_SIZE
@@ -61,22 +60,22 @@ class TestStreamSpec:
 
 class TestDeterminism:
     def test_same_spec_same_draws(self):
-        a = spawn_stream(StreamSpec(5, 1)).gaussians(64)
-        b = spawn_stream(StreamSpec(5, 1)).gaussians(64)
+        a = GaussianStream(StreamSpec(5, 1)).gaussians(64)
+        b = GaussianStream(StreamSpec(5, 1)).gaussians(64)
         assert np.array_equal(a, b)
 
     def test_different_index_different_draws(self):
-        a = spawn_stream(StreamSpec(5, 1)).gaussians(64)
-        b = spawn_stream(StreamSpec(5, 2)).gaussians(64)
-        c = spawn_stream(StreamSpec(6, 1)).gaussians(64)
+        a = GaussianStream(StreamSpec(5, 1)).gaussians(64)
+        b = GaussianStream(StreamSpec(5, 2)).gaussians(64)
+        c = GaussianStream(StreamSpec(6, 1)).gaussians(64)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_batched_draws_match_sequential(self):
         # counter-based consumption: splitting a request must not change
         # the draws
-        whole = spawn_stream(StreamSpec(3, 0)).gaussians(35)
-        stream = spawn_stream(StreamSpec(3, 0))
+        whole = GaussianStream(StreamSpec(3, 0)).gaussians(35)
+        stream = GaussianStream(StreamSpec(3, 0))
         parts = np.concatenate(
             [stream.gaussians(10), stream.gaussians(20), stream.gaussians(5)]
         )
@@ -87,11 +86,11 @@ class TestDeterminism:
         # u = min(((word >> 11) + 0.5) * 2**-53, 1 - 2**-53), z = ndtri(u);
         # the edge words 0, 2**63 and 2**64 - 1 go through a stub raw_words
         spec = StreamSpec(11, 4)
-        raw = spawn_stream(spec).raw_words(256)
+        raw = GaussianStream(spec).raw_words(256)
         edges = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
-        stub = spawn_stream(spec)
+        stub = GaussianStream(spec)
         monkeypatch.setattr(stub, "raw_words", lambda count: edges.copy())
-        for words, stream in ((raw, spawn_stream(spec)), (edges, stub)):
+        for words, stream in ((raw, GaussianStream(spec)), (edges, stub)):
             u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
             expected = ndtri(np.minimum(u, 1.0 - 2.0**-53))
             assert np.array_equal(stream.gaussians(words.size), expected)
@@ -99,7 +98,7 @@ class TestDeterminism:
     def test_all_ones_word_gives_finite_normal(self, monkeypatch):
         # the top 53 bits all ones would map to u = 1.0 and ndtri(1.0) = inf;
         # that word is clamped to the largest grid point below 1
-        stream = spawn_stream(StreamSpec(0, 0))
+        stream = GaussianStream(StreamSpec(0, 0))
         monkeypatch.setattr(
             stream, "raw_words", lambda count: np.full(count, 2**64 - 1, dtype=np.uint64)
         )
@@ -107,38 +106,51 @@ class TestDeterminism:
         assert np.all(np.isfinite(g))
         assert np.array_equal(g, ndtri(np.full(2, 1.0 - 2.0**-53)))
 
+    def test_only_the_middle_word_maps_to_zero(self, monkeypatch):
+        # top 53 bits 2**52 + d, d in -3..3, with and without low bits: only
+        # d = 0 gives u = 0.5 and the normal 0, and every other normal is far
+        # from underflow, so a row norm is 0 exactly when all its normals are
+        top = (2**52 + np.arange(-3, 4, dtype=np.int64)).astype(np.uint64) << np.uint64(11)
+        words = np.concatenate([top, top | np.uint64(2**11 - 1)])
+        stream = GaussianStream(StreamSpec(0, 0))
+        monkeypatch.setattr(stream, "raw_words", lambda count: words.copy())
+        g = stream.gaussians(words.size)
+        zero = np.tile(np.arange(-3, 4) == 0, 2)
+        assert np.all(g[zero] == 0.0)
+        assert np.min(np.abs(g[~zero])) > 1e-16
+
     def test_unit_vector_entry_layout(self):
         # entry k of a vector uses words (2k, 2k+1) as (re, im), and the
         # row is divided by sqrt(sum(re^2 + im^2))
         spec = StreamSpec(8, 0)
-        g = spawn_stream(spec).gaussians(6)
+        g = GaussianStream(spec).gaussians(6)
         z = g[0::2] + 1j * g[1::2]
         expected = z / np.sqrt(np.sum(z.real * z.real + z.imag * z.imag))
-        assert np.array_equal(sample_unit_vector(spawn_stream(spec), 3), expected)
+        assert np.array_equal(sample_unit_vector(GaussianStream(spec), 3), expected)
 
 
 def test_gaussian_vector_and_matrix_agree_on_consumption():
     spec = StreamSpec(21, 3)
-    v = gaussian_vector(spawn_stream(spec), 4)
-    m = gaussian_matrix(spawn_stream(spec), 2)
+    v = gaussian_vector(GaussianStream(spec), 4)
+    m = gaussian_matrix(GaussianStream(spec), 2)
     assert np.array_equal(v.reshape(2, 2), m)
 
 
 def test_gaussian_moments():
     n = 200000
-    g = spawn_stream(StreamSpec(1234, 0)).gaussians(n)
+    g = GaussianStream(StreamSpec(1234, 0)).gaussians(n)
     assert abs(g.mean()) <= 5.0 / np.sqrt(n)
     assert abs(g.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
 
 
 def test_unit_norm_across_dims():
     for n in (1, 2, 3, 8, 16):
-        x = sample_unit_vectors(spawn_stream(StreamSpec(77, 0)), n, 500)
+        x = sample_unit_vectors(GaussianStream(StreamSpec(77, 0)), n, 500)
         np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
 
 
 def test_scalar_samples_have_unit_modulus():
-    x = sample_unit_vectors(spawn_stream(StreamSpec(78, 0)), 1, 100)
+    x = sample_unit_vectors(GaussianStream(StreamSpec(78, 0)), 1, 100)
     np.testing.assert_allclose(np.abs(x[:, 0]), 1.0, atol=1e-12)
 
 
@@ -156,8 +168,8 @@ def test_row_blocks_match_one_batch_formula():
     # of the block height gives the same bits as one batch
     n, count = 5, 2 * sphere._BLOCK_ROWS + 37
     spec = StreamSpec(12, 3)
-    words = spawn_stream(spec).raw_words(2 * n * count)
-    got = sample_unit_vectors(spawn_stream(spec), n, count)
+    words = GaussianStream(spec).raw_words(2 * n * count)
+    got = sample_unit_vectors(GaussianStream(spec), n, count)
     assert got.shape == (count, n) and got.flags.c_contiguous
     assert got.tobytes() == _one_batch(words, n).tobytes()
 
@@ -168,10 +180,10 @@ def test_underflow_in_later_block_redraws_after_whole_chunk(monkeypatch):
     n, count = 3, sphere._BLOCK_ROWS + 40
     row = sphere._BLOCK_ROWS + 7
     spec = StreamSpec(13, 0)
-    words = spawn_stream(spec).raw_words(2 * n * (count + 1))
+    words = GaussianStream(spec).raw_words(2 * n * (count + 1))
     stub_words = words.copy()
     stub_words[2 * n * row:2 * n * (row + 1)] = 2**63
-    stream = spawn_stream(spec)
+    stream = GaussianStream(spec)
     taken = []
 
     def raw_words(k):
@@ -189,13 +201,13 @@ def test_underflow_in_later_block_redraws_after_whole_chunk(monkeypatch):
 
 
 def test_single_vector_matches_first_of_batch():
-    one = sample_unit_vector(spawn_stream(StreamSpec(9, 0)), 5)
-    batch = sample_unit_vectors(spawn_stream(StreamSpec(9, 0)), 5, 3)
+    one = sample_unit_vector(GaussianStream(StreamSpec(9, 0)), 5)
+    batch = sample_unit_vectors(GaussianStream(StreamSpec(9, 0)), 5, 3)
     assert np.array_equal(one, batch[0])
 
 
 def test_validation_errors():
-    stream = spawn_stream(StreamSpec(0, 0))
+    stream = GaussianStream(StreamSpec(0, 0))
     with pytest.raises(ValueError):
         sample_unit_vectors(stream, 0, 4)
     with pytest.raises(ValueError):
@@ -220,7 +232,7 @@ class TestChunkedLayout:
         expected = np.vstack(
             [
                 sample_unit_vectors(
-                    spawn_stream(spec.offset(c)), 4, min(CHUNK, count - CHUNK * c)
+                    GaussianStream(spec.offset(c)), 4, min(CHUNK, count - CHUNK * c)
                 )
                 for c in range(3)
             ]
@@ -235,7 +247,7 @@ class TestChunkedLayout:
         chunks = {}
         for worker in (0, 1):
             for c in range(worker, 4, 2):
-                chunks[c] = sample_unit_vectors(spawn_stream(spec.offset(c)), 3, CHUNK)
+                chunks[c] = sample_unit_vectors(GaussianStream(spec.offset(c)), 3, CHUNK)
         reassembled = np.vstack([chunks[c] for c in range(4)])
         assert np.array_equal(sequential, reassembled)
 
@@ -260,7 +272,7 @@ class TestChunkedLayout:
         # order raises
         spec, n, count = StreamSpec(35, 0), 2, 6 * CHUNK + 100
         layout = [
-            (lo, sample_unit_vectors(spawn_stream(substream), n, hi - lo))
+            (lo, sample_unit_vectors(GaussianStream(substream), n, hi - lo))
             for lo, hi, substream in sphere.chunk_layout(spec, count)
         ]
         for cpus in (1, 2, 5):

@@ -6,7 +6,7 @@ import pytest
 from tracekit import uniqueness
 from tracekit.cli import main
 from tracekit.linalg import matrix_unit, normalized_trace
-from tracekit.sphere import StreamSpec, gaussian_matrix, spawn_stream
+from tracekit.sphere import GaussianStream, StreamSpec, gaussian_matrix
 from tracekit.uniqueness import (
     ConstraintSystem,
     FunctionalSolution,
@@ -26,14 +26,12 @@ class TestConstraintSystem:
     def test_shapes(self):
         system = build_constraint_system(2)
         assert system.lhs.shape == (17, 4)
-        assert system.rhs.shape == (17,)
         assert system.dim == 2
 
     def test_n1_single_unknown(self):
         system = build_constraint_system(1)
         # one homogeneous row (trivially zero) plus v[0][0] = 1
         assert np.array_equal(system.lhs, [[0.0], [1.0]])
-        assert system.rhs[-1] == 1.0 + 0j
 
     def test_diagonal_equality_row(self):
         # tuple (0,1,1,0): e_01 e_10 = e_00 and e_10 e_01 = e_11,
@@ -57,11 +55,11 @@ class TestConstraintSystem:
             assert np.max(np.abs(system.lhs[:-1] @ vec)) == 0.0
 
     def test_normalization_row(self):
-        system = build_constraint_system(3, normalization=2.0 - 1j)
+        # the last row is f(I) = v[0][0] + v[1][1] + v[2][2] = 1
+        system = build_constraint_system(3)
         assert np.array_equal(
             system.lhs[-1], [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]
         )
-        assert system.rhs[-1] == 2.0 - 1j
 
     def test_dimension_range(self):
         with pytest.raises(ValueError, match=r"\[1, 8\]"):
@@ -89,7 +87,7 @@ class TestNullspace:
             [0.0, 0.0, 0.0, 0.0],
             [1.0, 1.0, 1.0, 1.0],  # normalization row, not read
         ])
-        system = ConstraintSystem(dim=2, lhs=lhs, rhs=np.zeros(4, dtype=complex))
+        system = ConstraintSystem(dim=2, lhs=lhs)
         assert homogeneous_nullspace_dim(system) == 2
 
     @pytest.mark.parametrize("row", [
@@ -100,7 +98,7 @@ class TestNullspace:
     ])
     def test_rejects_other_row_shapes(self, row):
         lhs = np.array([row, [1.0, 0.0, 0.0, 1.0]])
-        system = ConstraintSystem(dim=2, lhs=lhs, rhs=np.zeros(2, dtype=complex))
+        system = ConstraintSystem(dim=2, lhs=lhs)
         with pytest.raises(ValueError, match="row 0"):
             homogeneous_nullspace_dim(system)
 
@@ -120,23 +118,15 @@ class TestSolve:
             # normalization satisfied
             assert abs(np.trace(solution.values) - 1.0) <= 1e-12
 
-    def test_scale_covariance(self):
-        # replacing f(I)=1 by f(I)=c scales the solution linearly
-        c = 2.0 - 3.0j
-        solution = solve_unique_functional(3, normalization=c)
-        gap = np.max(np.abs(solution.values - c * np.eye(3) / 3))
-        assert gap <= 1e-12 * abs(c)
-
 
 def reweighted_build(weights):
     """build_constraint_system with the normalization row set to weights(n)."""
     build = uniqueness.build_constraint_system
 
-    def patched(n, normalization=1.0 + 0j):
-        system = build(n, normalization)
-        lhs = system.lhs.copy()
+    def patched(n):
+        lhs = build(n).lhs.copy()
         lhs[-1] = weights(n).reshape(-1)
-        return ConstraintSystem(dim=n, lhs=lhs, rhs=system.rhs)
+        return ConstraintSystem(dim=n, lhs=lhs)
 
     return patched
 
@@ -153,18 +143,17 @@ class TestSolveReadsComponents:
             assert solution.residual <= n * eps
 
     def test_values_follow_normalization_weights(self, monkeypatch):
-        # weight 2 on each diagonal unknown: w = 2n, so v[i][i] = c / (2n)
+        # weight 2 on each diagonal unknown: w = 2n, so v[i][i] = 1 / (2n)
         monkeypatch.setattr(
             uniqueness, "build_constraint_system",
             reweighted_build(lambda n: 2.0 * np.eye(n)),
         )
-        c = 3.0 - 1.0j
         eps = np.finfo(np.float64).eps
         for n in (1, 3, 8):
-            solution = solve_unique_functional(n, normalization=c)
+            solution = solve_unique_functional(n)
             assert solution.nullspace_dim == 1
-            assert np.array_equal(solution.values, np.eye(n) * (c / (2 * n)))
-            assert solution.residual <= 2 * n * eps * abs(c)
+            assert np.array_equal(solution.values, np.eye(n) * (1 / (2 * n)))
+            assert solution.residual <= 2 * n * eps
 
     def test_normalization_off_the_free_component_raises(self, monkeypatch, capsys):
         # a row on the forced-zero off-diagonal unknowns cannot fix f
@@ -218,7 +207,7 @@ class TestVerifyTracial:
         spec = StreamSpec(60, 0)
         worst = verify_tracial_on_random_pairs(solution, 50, spec)
         # replay the same stream to recover the norm scale of the pairs
-        stream = spawn_stream(spec)
+        stream = GaussianStream(spec)
         scale = 0.0
         for _ in range(50):
             a = gaussian_matrix(stream, 4)
