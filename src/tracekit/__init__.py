@@ -53,7 +53,6 @@ from .uniqueness import (
     build_constraint_system,
     evaluate_functional,
     solve_unique_functional,
-    verify_tracial_on_random_pairs,
 )
 from .unitary import (
     UnitaryDecomposition,
@@ -104,7 +103,6 @@ __all__ = [
     "solve_unique_functional",
     "stats_from_values",
     "substitution_identity_check",
-    "verify_tracial_on_random_pairs",
     "write_json_dense",
     "write_matrix_market",
     "write_report_json",

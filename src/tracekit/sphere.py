@@ -150,8 +150,8 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
 
     Consumes exactly 2*n words per vector, plus 2*n per redraw of a row
     whose 2*n normals are all exactly zero; redraws come after all
-    2*n*count words.  Each row is divided by sqrt(sum(re^2 + im^2)) of
-    its entries.
+    2*n*count words.  Each row is multiplied by 1 / sqrt(sum(re^2 + im^2))
+    of its entries.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -170,7 +170,11 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
             break
         z[bad] = _complex_normals(stream, bad.size, n)
         norms[bad] = _row_norms(z[bad])
-    z /= norms[:, None]
+    # spelled out as a multiply by 1 / norm: numpy divides complex by real
+    # as (re + im*0) * (1/d), (im - re*0) * (1/d), which differs from this
+    # only on an entry of -0.0, and ndtri yields +0.0, never -0.0
+    parts = flat.reshape(count, 2 * n)  # a view of z
+    parts *= (1.0 / norms)[:, None]
     return z
 
 

@@ -15,6 +15,7 @@ import tracekit
 from tracekit.cli import main
 from tracekit.formats import write_json_dense, write_matrix_market
 from tracekit.linalg import matrix_unit
+from tracekit.uniqueness import _MAX_DIM
 
 
 def crandn(rng, *shape):
@@ -313,10 +314,33 @@ class TestUniqueness:
         doc = json.loads(out)
         np.testing.assert_allclose(doc["solution"][0][0], [1.0, 0.0], atol=1e-10)
 
-    def test_dim_9_out_of_range(self, capsys):
-        code, _, err = run(capsys, "uniqueness", "--dim", "9")
-        assert code == 1
-        assert "[1, 8]" in err
+    def test_dim_above_cap_out_of_range(self, capsys):
+        code, out, err = run(capsys, "uniqueness", "--dim", str(_MAX_DIM + 1))
+        assert code == 1 and out == ""
+        assert f"[1, {_MAX_DIM}]" in err
+
+    def test_dim_at_cap_exits_0_within_200_mb(self, tmp_path):
+        # the peak RSS of a fresh `tracekit uniqueness` process at the cap: the
+        # wrapper's only child is the CLI, so RUSAGE_CHILDREN is the CLI's
+        output = tmp_path / "u.json"
+        script = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run([sys.executable, '-m', 'tracekit.cli', 'uniqueness',\n"
+            f"                      '--dim', '{_MAX_DIM}', '--output', {str(output)!r}]).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        code, maxrss_kb = map(int, result.stdout.split())  # kilobytes on Linux
+        assert code == 0
+        assert maxrss_kb < 200 * 1024
+        doc = json.loads(output.read_text())
+        assert doc["nullspace_dim"] == 1
+        pairs = np.array(doc["solution"])
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], np.eye(_MAX_DIM) / _MAX_DIM)
 
     def test_byte_identical(self, capsys):
         _, first, _ = run(capsys, "uniqueness", "--dim", "4")
@@ -452,25 +476,31 @@ class TestUsage:
         assert run(capsys, "uniqueness", "--dim", "2", "--z", "0")[0] == 1
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this tracekit."""
+    src = str(Path(tracekit.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
     # scipy.special is only needed to sample; importing it costs most of the
     # CLI's start-up time.  numpy.ma (~10 ms), which np.unique and np.isin
     # import on first use, is not needed either, nor is scipy.linalg (~0.2 s):
-    # the eigensolve and the determinant come from numpy.linalg
+    # the eigensolve and the determinant come from numpy.linalg, and the
+    # uniqueness system is solved from its nonzeros without scipy.sparse
     matrix = tmp_path / "a.mm"
     matrix.write_text(write_matrix_market(np.array([[1.0, 2.0], [3.0, 4.0]])))
     script = (
         "import sys\n"
         "from tracekit.cli import main\n"
-        f"assert main(['uniqueness', '--dim', '2', '--output', {str(tmp_path / 'u.json')!r}]) == 0\n"
+        f"assert main(['uniqueness', '--dim', '{_MAX_DIM}', '--output', {str(tmp_path / 'u.json')!r}]) == 0\n"
         f"assert main(['decompose', {str(matrix)!r}, '--output', {str(tmp_path / 'd.json')!r}]) == 0\n"
         "print('scipy.special' in sys.modules, 'numpy.ma' in sys.modules,\n"
-        "      'scipy.linalg' in sys.modules)\n"
+        "      'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
     )
-    src = str(Path(tracekit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False False False\n"
+    assert result.stdout == "False False False False\n"

@@ -174,6 +174,30 @@ def test_row_blocks_match_one_batch_formula():
     assert got.tobytes() == _one_batch(words, n).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_multiply_by_inverse_norm_is_the_division_bitwise(n, monkeypatch):
+    # the sampler multiplies each row by 1 / norm, which equals numpy's
+    # complex / real division unless an entry is -0.0; every third word here
+    # is 2**63 (top 53 bits 2**52), whose normal is +0.0, and no row is all 0
+    count = sphere._BLOCK_ROWS + 9
+    words = GaussianStream(StreamSpec(14, n)).raw_words(2 * n * count)
+    words[::3] = 2**63
+    stream = GaussianStream(StreamSpec(14, n))
+    taken = []
+
+    def raw_words(k):
+        start = sum(taken)
+        taken.append(k)
+        return words[start:start + k].copy()
+
+    monkeypatch.setattr(stream, "raw_words", raw_words)
+    got = sample_unit_vectors(stream, n, count)
+    assert sum(taken) == words.size  # no redraw
+    zeros = got.view(np.float64).reshape(-1)[::3]
+    assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+    assert got.tobytes() == _one_batch(words, n).tobytes()
+
+
 def test_underflow_in_later_block_redraws_after_whole_chunk(monkeypatch):
     # the word 2**63 maps to u = 0.5, whose normal is exactly 0; a row made
     # of it has norm 0 and is redrawn from the words after all 2n * count

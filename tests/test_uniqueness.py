@@ -1,12 +1,13 @@
 """The tracial-functional constraint system and its unique solution."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from tracekit import uniqueness
 from tracekit.cli import main
 from tracekit.linalg import matrix_unit, normalized_trace
-from tracekit.sphere import GaussianStream, StreamSpec, gaussian_matrix
 from tracekit.uniqueness import (
     ConstraintSystem,
     FunctionalSolution,
@@ -14,69 +15,143 @@ from tracekit.uniqueness import (
     evaluate_functional,
     homogeneous_nullspace_dim,
     solve_unique_functional,
-    verify_tracial_on_random_pairs,
 )
+
+CAP = uniqueness._MAX_DIM
 
 
 def row_index(i, j, k, l, n):
     return ((i * n + j) * n + k) * n + l
 
 
+def dense_reference(n):
+    """The (n^4 + 1) x n^2 matrix from the definition, one tuple at a time."""
+    lhs = np.zeros((n**4 + 1, n * n))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        r = row_index(i, j, k, l, n)
+        lhs[r, i * n + l] += j == k  # e_ij e_kl = (j == k) e_il
+        lhs[r, k * n + j] -= l == i  # e_kl e_ij = (l == i) e_kj
+    lhs[-1, :: n + 1] = 1.0  # f(I) = sum_i v[i][i]
+    return lhs
+
+
+def densify(system):
+    n = system.dim
+    lhs = np.zeros((n**4 + 1, n * n))
+    lhs[system.rows, system.cols] = system.vals
+    return lhs
+
+
+def from_dense(n, lhs):
+    """The system whose rows 0, 1, ... are lhs[:-1] and whose row n^4 is lhs[-1]."""
+    r, c = np.nonzero(lhs)  # row-major, so sorted by (row, col)
+    rows = np.where(r == len(lhs) - 1, n**4, r)
+    return ConstraintSystem(dim=n, rows=rows, cols=c, vals=lhs[r, c])
+
+
 class TestConstraintSystem:
     def test_shapes(self):
         system = build_constraint_system(2)
-        assert system.lhs.shape == (17, 4)
         assert system.dim == 2
+        # 2n^3 - 2n tracial entries (the n rows (i, i, i, i) cancel to 0) and n
+        assert system.rows.shape == system.cols.shape == system.vals.shape == (14,)
+        assert system.rows.dtype == system.cols.dtype == np.int64
+        assert system.vals.dtype == np.float64
 
     def test_n1_single_unknown(self):
         system = build_constraint_system(1)
         # one homogeneous row (trivially zero) plus v[0][0] = 1
-        assert np.array_equal(system.lhs, [[0.0], [1.0]])
+        assert np.array_equal(densify(system), [[0.0], [1.0]])
+        assert system.rows.tolist() == [1] and system.cols.tolist() == [0]
+
+    def test_matches_dense_reference(self):
+        for n in range(1, 9):
+            system = build_constraint_system(n)
+            assert densify(system).tobytes() == dense_reference(n).tobytes()
+            again = from_dense(n, dense_reference(n))
+            for name in ("rows", "cols", "vals"):
+                assert np.array_equal(getattr(system, name), getattr(again, name))
+
+    def test_nonzero_rows_bounded_by_the_two_families(self):
+        # only j == k or l == i give nonzeros: 2n^3 - n^2 rows, less the n
+        # rows (i, i, i, i) that cancel, plus the normalization row
+        for n in (1, 2, 5, 16, CAP):
+            system = build_constraint_system(n)
+            rows = np.unique(system.rows)
+            assert rows.size == 2 * n**3 - n**2 - n + 1
+            assert rows[-1] == n**4
 
     def test_diagonal_equality_row(self):
         # tuple (0,1,1,0): e_01 e_10 = e_00 and e_10 e_01 = e_11,
         # so the row says v[0][0] - v[1][1] = 0
-        system = build_constraint_system(2)
-        row = system.lhs[row_index(0, 1, 1, 0, 2)]
+        lhs = densify(build_constraint_system(2))
+        row = lhs[row_index(0, 1, 1, 0, 2)]
         assert np.array_equal(row, [1.0, 0.0, 0.0, -1.0])
 
     def test_offdiagonal_zero_row(self):
         # tuple (0,0,0,1): e_00 e_01 = e_01 but e_01 e_00 = 0,
         # so the row forces v[0][1] = 0
-        system = build_constraint_system(2)
-        row = system.lhs[row_index(0, 0, 0, 1, 2)]
+        lhs = densify(build_constraint_system(2))
+        row = lhs[row_index(0, 0, 0, 1, 2)]
         assert np.array_equal(row, [0.0, 1.0, 0.0, 0.0])
 
     def test_rows_vanish_on_normalized_trace(self):
         # I/n satisfies every homogeneous constraint exactly
         for n in (2, 3, 4):
-            system = build_constraint_system(n)
+            lhs = densify(build_constraint_system(n))
             vec = (np.eye(n) / n).reshape(-1)
-            assert np.max(np.abs(system.lhs[:-1] @ vec)) == 0.0
+            assert np.max(np.abs(lhs[:-1] @ vec)) == 0.0
 
     def test_normalization_row(self):
         # the last row is f(I) = v[0][0] + v[1][1] + v[2][2] = 1
-        system = build_constraint_system(3)
-        assert np.array_equal(
-            system.lhs[-1], [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]
-        )
+        lhs = densify(build_constraint_system(3))
+        assert np.array_equal(lhs[-1], [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
 
     def test_dimension_range(self):
-        with pytest.raises(ValueError, match=r"\[1, 8\]"):
-            build_constraint_system(0)
-        with pytest.raises(ValueError, match=r"\[1, 8\]"):
-            build_constraint_system(9)
+        for n in (0, CAP + 1):
+            with pytest.raises(ValueError, match=rf"\[1, {CAP}\]"):
+                build_constraint_system(n)
+
+    @pytest.mark.parametrize("rows, cols, vals", [
+        ([1, 0], [0, 0], [1.0, 1.0]),  # rows out of order
+        ([0, 0], [1, 0], [1.0, -1.0]),  # columns out of order within a row
+        ([0, 0], [1, 1], [1.0, -1.0]),  # one (row, col) twice
+        ([0], [0], [0.0]),  # a stored zero
+        ([17], [0], [1.0]),  # row past n^4
+        ([0], [4], [1.0]),  # column past n^2
+        ([0, 1], [0, 1], [1.0]),  # lengths differ
+    ])
+    def test_rejects_entries_off_the_format(self, rows, cols, vals):
+        with pytest.raises(ValueError, match="sorted by"):
+            ConstraintSystem(dim=2, rows=np.array(rows), cols=np.array(cols),
+                             vals=np.array(vals))
 
 
 class TestNullspace:
     def test_matches_svd_rank_oracle(self):
         for n in range(1, 9):
             system = build_constraint_system(n)
-            expected = n * n - np.linalg.matrix_rank(system.lhs[:-1])
+            expected = n * n - np.linalg.matrix_rank(densify(system)[:-1])
             assert homogeneous_nullspace_dim(system) == expected
 
+    def test_matches_svd_rank_oracle_on_random_graphs(self):
+        # chains and merges in any order, beyond the one complete graph on
+        # the diagonal unknowns that the tracial system gives
+        rng = np.random.default_rng(8)
+        n = 4
+        for _ in range(60):
+            lhs = np.zeros((rng.integers(2, 24), n * n))
+            for row in lhs[:-1]:
+                a, b = rng.choice(n * n, 2, replace=False)
+                row[a] = 1.0
+                if rng.random() < 0.85:
+                    row[b] = -1.0  # v_a = v_b, else v_a = 0
+            lhs[-1, 0] = 1.0
+            expected = n * n - np.linalg.matrix_rank(lhs[:-1])
+            assert homogeneous_nullspace_dim(from_dense(n, lhs)) == expected
+
     def test_always_one(self):
-        for n in range(1, 7):
+        for n in (*range(1, 7), 16, CAP):
             assert homogeneous_nullspace_dim(build_constraint_system(n)) == 1
 
     def test_counts_components_without_forced_zero(self):
@@ -87,8 +162,7 @@ class TestNullspace:
             [0.0, 0.0, 0.0, 0.0],
             [1.0, 1.0, 1.0, 1.0],  # normalization row, not read
         ])
-        system = ConstraintSystem(dim=2, lhs=lhs)
-        assert homogeneous_nullspace_dim(system) == 2
+        assert homogeneous_nullspace_dim(from_dense(2, lhs)) == 2
 
     @pytest.mark.parametrize("row", [
         [1.0, 1.0, 0.0, 0.0],  # e_a + e_b
@@ -98,9 +172,8 @@ class TestNullspace:
     ])
     def test_rejects_other_row_shapes(self, row):
         lhs = np.array([row, [1.0, 0.0, 0.0, 1.0]])
-        system = ConstraintSystem(dim=2, lhs=lhs)
         with pytest.raises(ValueError, match="row 0"):
-            homogeneous_nullspace_dim(system)
+            homogeneous_nullspace_dim(from_dense(2, lhs))
 
 
 class TestSolve:
@@ -124,9 +197,16 @@ def reweighted_build(weights):
     build = uniqueness.build_constraint_system
 
     def patched(n):
-        lhs = build(n).lhs.copy()
-        lhs[-1] = weights(n).reshape(-1)
-        return ConstraintSystem(dim=n, lhs=lhs)
+        system = build(n)
+        tracial = system.rows < n**4
+        w = weights(n).reshape(-1)
+        cols = np.flatnonzero(w)
+        return ConstraintSystem(
+            dim=n,
+            rows=np.concatenate([system.rows[tracial], np.full(cols.size, n**4)]),
+            cols=np.concatenate([system.cols[tracial], cols]),
+            vals=np.concatenate([system.vals[tracial], w[cols]]),
+        )
 
     return patched
 
@@ -136,11 +216,26 @@ class TestSolveReadsComponents:
 
     def test_bitwise_normalized_identity(self):
         eps = np.finfo(np.float64).eps
-        for n in range(1, 9):
+        for n in (*range(1, 9), 16, CAP):
             solution = solve_unique_functional(n)
             expected = (np.eye(n) / n).astype(np.complex128)
             assert solution.values.tobytes() == expected.tobytes()
             assert solution.residual <= n * eps
+
+    def test_residual_sums_each_row_in_column_order(self):
+        # max |A v - e_last| with each row summed left to right, so the
+        # residual does not depend on how a BLAS groups a dot product
+        for n in range(1, 8):
+            solution = solve_unique_functional(n)
+            v = solution.values.reshape(-1)
+            lhs = dense_reference(n)
+            worst = 0.0
+            for r, row in enumerate(lhs):
+                acc = 0.0
+                for c in np.flatnonzero(row):
+                    acc += row[c] * v[c].real
+                worst = max(worst, abs(acc - (r == len(lhs) - 1)))
+            assert solution.residual == worst
 
     def test_values_follow_normalization_weights(self, monkeypatch):
         # weight 2 on each diagonal unknown: w = 2n, so v[i][i] = 1 / (2n)
@@ -202,19 +297,6 @@ class TestVerifyTracial:
         )
         assert gap == 0.0
 
-    def test_random_pairs_small_gap(self):
-        solution = solve_unique_functional(4)
-        spec = StreamSpec(60, 0)
-        worst = verify_tracial_on_random_pairs(solution, 50, spec)
-        # replay the same stream to recover the norm scale of the pairs
-        stream = GaussianStream(spec)
-        scale = 0.0
-        for _ in range(50):
-            a = gaussian_matrix(stream, 4)
-            b = gaussian_matrix(stream, 4)
-            scale = max(scale, np.linalg.norm(a) * np.linalg.norm(b))
-        assert worst <= 1e-10 * scale
-
     def test_corrupted_solution_is_caught(self):
         solution = solve_unique_functional(2)
         corrupted = solution.values.copy()
@@ -230,8 +312,3 @@ class TestVerifyTracial:
             evaluate_functional(bad, a @ b) - evaluate_functional(bad, b @ a)
         )
         assert gap > 0.01
-
-    def test_trials_validation(self):
-        solution = solve_unique_functional(2)
-        with pytest.raises(ValueError, match="trials"):
-            verify_tracial_on_random_pairs(solution, 0, StreamSpec(0, 0))
