@@ -18,7 +18,7 @@ Conventions fixed here and relied on everywhere else:
   1.0 + 0.0j, so the estimate of the identity has zero variance.
 - The draws of an estimate based at StreamSpec(seed, b) follow the
   fixed chunk layout of `sphere.map_chunks`, which evaluates the chunks
-  on a thread pool; partial statistics are merged in chunk order, so
+  on a thread pool; each chunk's statistics are merged in chunk order, so
   reports are bitwise reproducible for a fixed (seed, n_samples)
   regardless of thread count.
 """
@@ -253,18 +253,6 @@ def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
             )
 
 
-_BLOCK_ROWS = 512  # rows per block: bounds temporaries, not the values
-
-
-def _row_blocks(x: np.ndarray, row_values, dtype) -> np.ndarray:
-    """row_values of the rows of x, one row block at a time, inf or nan on overflow."""
-    values = np.empty(len(x), dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers check for it
-        for b in range(0, len(x), _BLOCK_ROWS):
-            values[b:b + _BLOCK_ROWS] = row_values(x[b:b + _BLOCK_ROWS])
-    return values
-
-
 def estimate_trace(
     op: LinearOperator, n_samples: int, spec: StreamSpec, *, z: float = 3.0
 ) -> EstimateReport:
@@ -285,23 +273,20 @@ def estimate_trace(
     if not z > 0.0:
         raise ValueError(f"z must be > 0, got {z}")
 
-    def chunk_stats(lo: int, x: np.ndarray) -> RunningStats:
-        values = _row_blocks(
-            x, lambda rows: _rayleigh_values(op.apply_batch(rows), rows), np.complex128
-        )
-        finite = np.isfinite(values)
-        if not np.all(finite):
-            j = lo + int(np.argmin(finite))
-            raise FloatingPointError(f"non-finite numerical value at sample {j}")
-        return stats_from_values(values)
+    def values(rows: np.ndarray) -> np.ndarray:  # inf or nan on overflow
+        return _rayleigh_values(op.apply_batch(rows), rows)
 
     # checks the layout now; no chunk starts before the loop below
-    partials = map_chunks(chunk_stats, spec, op.dim, n_samples)
+    chunks = map_chunks(values, spec, op.dim, n_samples)
     if not op.assume_linear:
         _check_linearity(op, spec)
     total = RunningStats()
-    for part in partials:
-        total = merge_stats(total, part)
+    for lo, chunk in chunks:
+        finite = np.isfinite(chunk)
+        if not np.all(finite):
+            j = lo + int(np.argmin(finite))
+            raise FloatingPointError(f"non-finite numerical value at sample {j}")
+        total = merge_stats(total, stats_from_values(chunk))
 
     stderr = total.stderr()
     if not np.isfinite([total.mean, stderr]).all():
@@ -380,10 +365,9 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
 
     The draws are those of sample_unit_vectors_chunked(spec, n, n_samples),
-    evaluated chunk by chunk on the thread pool of `sphere.map_chunks`, so
-    no (n_samples, n) array is formed.  Returns (max_gap, ||B* B - I||_F);
-    raises ValueError, as substitution_identity_check does, when B is not
-    unitary.
+    evaluated in row blocks on the thread pool of `sphere.map_chunks`, so
+    no chunk of draws is held.  Returns (max_gap, ||B* B - I||_F); raises
+    ValueError, as substitution_identity_check does, when B is not unitary.
     """
     am, bm, unitarity = _unitary_pair(a, b)
     b_conj = np.conj(bm)
@@ -391,19 +375,16 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
         ab_t = (am @ bm).T
         ba_t = (bm @ am).T
 
-    def gaps(z: np.ndarray) -> np.ndarray:
+    def gaps(z: np.ndarray) -> np.ndarray:  # inf or nan on overflow
         # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
         x = z @ b_conj
         lhs = np.sum((x @ ab_t) * np.conj(x), axis=1)
         rhs = np.sum((z @ ba_t) * np.conj(z), axis=1)
         return np.abs(lhs - rhs)
 
-    def chunk_max(lo: int, z: np.ndarray):
-        return np.max(_row_blocks(z, gaps, np.float64))
-
     max_gap = 0.0
-    for part in map_chunks(chunk_max, spec, am.shape[0], n_samples):
-        max_gap = np.maximum(max_gap, part)  # keeps a NaN
+    for _, chunk in map_chunks(gaps, spec, am.shape[0], n_samples):
+        max_gap = np.maximum(max_gap, np.max(chunk))  # keeps a NaN
     if not np.isfinite(max_gap):  # A and B are finite: only an overflow does this
         raise ValueError("substitution identity overflows float64; rescale the matrix")
     return float(max_gap), unitarity

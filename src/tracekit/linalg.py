@@ -76,10 +76,15 @@ def normalized_trace(a) -> complex:
     """Sum of the diagonal divided by the dimension.
 
     This is the exact quantity the sphere-average estimator targets, and
-    the unique value of the normalized tracial functional at `a`.
+    the unique value of the normalized tracial functional at `a`.  Raises
+    ValueError when the trace overflows float64.
     """
     m = as_matrix(a)
-    return complex(np.trace(m) / m.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.trace(m) / m.shape[0])
+    if not np.isfinite(value):
+        raise ValueError("normalized trace overflows float64; rescale the matrix")
+    return value
 
 
 def matrix_unit(i: int, j: int, n: int) -> np.ndarray:

@@ -25,8 +25,10 @@ depends only on (master_seed, b), never on how chunks are assigned to
 threads.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
 draws (paired second estimates and probe vectors), so a single run keeps
 below 2**32 chunks.  `map_chunks` draws the chunks of a layout on a
-thread pool, one per CPU this process may use, and hands the results of
-a function of each chunk back in chunk order.
+thread pool, one per CPU this process may use.  Each chunk is drawn in
+blocks of 512 rows into one buffer that the chunk reuses, and a row-wise
+function of each block is kept, so a thread holds one block of draws,
+never a whole chunk; the per-row results come back in chunk order.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ CHUNK_SIZE = 4096  # draws per chunk; reports depend on it
 CHUNK_OFFSET_PAIRED = 2**32
 CHUNK_OFFSET_PROBES = 2**48
 
-# Rows a chunk is evaluated in at a time, bounding its temporaries; every
-# per-row result is the same for any height.
+# Rows drawn and evaluated at a time, bounding a thread's temporaries; the
+# draws are the same for any height.
 _BLOCK_ROWS = 512
 _U_MAX = 1.0 - 2.0**-53  # largest double below 1
 _U64 = np.uint64
@@ -145,6 +147,56 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(z.real * z.real + z.imag * z.imag, axis=-1))
 
 
+def _unit_rows(stream: GaussianStream, n: int, rows: int, out=None):
+    """The next `rows` unit vectors of `stream` as a (rows, n) view of `out`
+    (2*n*rows float64, or new), and the indices of the rows whose 2*n
+    normals are all exactly zero: those are left 0, to be redrawn."""
+    flat = stream.gaussians(2 * n * rows, out=out)
+    x = flat.view(np.complex128).reshape(rows, n)
+    norms = _row_norms(x)
+    zero = np.flatnonzero(norms == 0.0)
+    norms[zero] = np.inf  # 1 / inf = 0 keeps such a row 0
+    # spelled out as a multiply by 1 / norm: numpy divides complex by real
+    # as (re + im*0) * (1/d), (im - re*0) * (1/d), which differs from this
+    # only on an entry of -0.0, and ndtri yields +0.0, never -0.0
+    parts = flat.reshape(rows, 2 * n)  # a view of x
+    parts *= (1.0 / norms)[:, None]
+    return x, zero
+
+
+def _map_rows(fn, stream: GaussianStream, n: int, count: int) -> np.ndarray:
+    """fn of the sample_unit_vectors(stream, n, count) draw, _BLOCK_ROWS rows
+    at a time: row r of the result is fn's row for draw r.  A row whose
+    normals are all zero is passed to fn as 0; once such rows are redrawn,
+    after all 2*n*count words, only their results are replaced."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    block = np.empty(2 * n * min(count, _BLOCK_ROWS))  # reused by every block
+    values, zeros = None, []
+    for lo in range(0, max(count, 1), _BLOCK_ROWS):  # count 0: one empty block
+        hi = min(lo + _BLOCK_ROWS, count)
+        x, zero = _unit_rows(stream, n, hi - lo, block[:2 * n * (hi - lo)])
+        rows = fn(x)
+        if values is None:
+            values = np.empty((count, *rows.shape[1:]), dtype=rows.dtype)
+        values[lo:hi] = rows
+        zeros.append(lo + zero)
+    redraw = np.concatenate(zeros)
+    while redraw.size:
+        x, zero = _unit_rows(stream, n, redraw.size)
+        # numpy multiplies a single row through gemv, whose bits can differ
+        # from the same row of a block's gemm, so fn sees at least two rows
+        values[redraw] = fn(x if redraw.size > 1 else np.concatenate([x, x]))[:redraw.size]
+        redraw = redraw[zero]
+    return values
+
+
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
 def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarray:
     """Draw `count` unit vectors as the rows of a (count, n) complex array.
 
@@ -153,29 +205,7 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
     2*n*count words.  Each row is multiplied by 1 / sqrt(sum(re^2 + im^2))
     of its entries.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    z = np.empty((count, n), dtype=np.complex128)
-    flat = z.reshape(-1).view(np.float64)  # (re, im) of row r at [2nr, 2n(r + 1))
-    norms = np.empty(count)
-    for lo in range(0, count, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, count)
-        stream.gaussians(2 * n * (hi - lo), out=flat[2 * n * lo:2 * n * hi])
-        norms[lo:hi] = _row_norms(z[lo:hi])
-    while True:
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size == 0:
-            break
-        z[bad] = _complex_normals(stream, bad.size, n)
-        norms[bad] = _row_norms(z[bad])
-    # spelled out as a multiply by 1 / norm: numpy divides complex by real
-    # as (re + im*0) * (1/d), (im - re*0) * (1/d), which differs from this
-    # only on an entry of -0.0, and ndtri yields +0.0, never -0.0
-    parts = flat.reshape(count, 2 * n)  # a view of z
-    parts *= (1.0 / norms)[:, None]
-    return z
+    return _map_rows(_identity, stream, n, count)
 
 
 def sample_unit_vector(stream: GaussianStream, n: int) -> np.ndarray:
@@ -206,9 +236,15 @@ def _cpus() -> int:
 
 
 def map_chunks(fn, spec: StreamSpec, n: int, count: int):
-    """Lazily, fn(lo, x) for each chunk of chunk_layout(spec, count), in
-    chunk order, where x is the chunk's (hi - lo, n) sample_unit_vectors
-    draw from its substream.
+    """Lazily, (lo, values) for each chunk of chunk_layout(spec, count), in
+    chunk order, where values[r] is fn's result for row r of the chunk's
+    (hi - lo, n) sample_unit_vectors draw from its substream.
+
+    fn maps a (rows, n) array of draws to one result per row, each from
+    its own row alone.  It is called on blocks of 512 rows, drawn into a
+    buffer the chunk reuses, and again on redrawn rows (see _map_rows),
+    with numpy's overflow and invalid-value warnings off: the caller
+    checks the values for inf and nan.
 
     Chunks run on a pool of one thread per CPU this process may use, at
     most two per thread ahead of the consumer, so fn must be thread-safe.
@@ -219,7 +255,8 @@ def map_chunks(fn, spec: StreamSpec, n: int, count: int):
     """
     def run(chunk):
         lo, hi, substream = chunk
-        return fn(lo, sample_unit_vectors(GaussianStream(substream), n, hi - lo))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return lo, _map_rows(fn, GaussianStream(substream), n, hi - lo)
 
     layout = chunk_layout(spec, count)
     threads = min(_cpus(), -(-count // CHUNK_SIZE))
@@ -245,11 +282,8 @@ def _pooled(fn, layout, threads: int):
 def sample_unit_vectors_chunked(spec: StreamSpec, n: int, count: int) -> np.ndarray:
     """Draw `count` unit vectors in the `chunk_layout` at `spec`: the exact
     sequence an estimator based at `spec` consumes, for any thread count."""
-    def fill(lo: int, x: np.ndarray) -> None:
-        out[lo:lo + len(x)] = x
-
-    chunks = map_chunks(fill, spec, n, count)  # checks the arguments first
+    chunks = map_chunks(_identity, spec, n, count)  # checks the arguments first
     out = np.empty((count, n), dtype=np.complex128)
-    for _ in chunks:
-        pass
+    for lo, x in chunks:
+        out[lo:lo + len(x)] = x
     return out

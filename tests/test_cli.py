@@ -176,6 +176,16 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err.startswith("error: entry (0, 0)[0]: non-finite value")
 
+    def test_overflowing_exact_trace_exits_1_with_one_line(self, capsys, tmp_path):
+        # one draw keeps the sample statistics finite; tr A = 2e308 is not
+        path = tmp_path / "big.mm"
+        path.write_text(write_matrix_market(np.diag([1e308, 1e308])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "estimate", str(path), "--samples", "1")
+        assert code == 1 and out == ""
+        assert err == "error: normalized trace overflows float64; rescale the matrix\n"
+
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", "line 3"),

@@ -8,6 +8,7 @@ import pytest
 
 from tracekit import sphere
 from tracekit.estimator import (
+    _rayleigh_values,
     EstimateReport,
     LinearOperator,
     RunningStats,
@@ -26,6 +27,7 @@ from tracekit.sphere import (
     GaussianStream,
     StreamSpec,
     sample_unit_vector,
+    sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
 
@@ -46,6 +48,21 @@ def welford_loop(values):
         m2_re += delta.real * delta2.real
         m2_im += delta.imag * delta2.imag
     return mean, m2_re, m2_im
+
+
+BLOCK_64 = 512 * 64 * 16  # bytes of 512 complex rows at n = 64
+
+
+def peak_of_two_threads(monkeypatch, run) -> int:
+    """tracemalloc peak of run(count, spec) over four chunks on two threads."""
+    run(10, StreamSpec(0, 0))  # imports done before tracing
+    monkeypatch.setattr(sphere, "_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        run(4 * sphere.CHUNK_SIZE, StreamSpec(5, 0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestInner:
@@ -264,20 +281,11 @@ class TestEstimateTrace:
         assert default == serial
 
     def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
-        # each of two threads holds its chunk's draws and a few row-block
-        # temporaries, never whole-chunk temporaries (~13 MB per chunk at n = 64)
-        n, chunk = 64, sphere.CHUNK_SIZE
-        op = LinearOperator.from_matrix(crandn(np.random.default_rng(215), n, n))
-        estimate_trace(op, 10, StreamSpec(0, 0))  # imports done before tracing
-        monkeypatch.setattr(sphere, "_cpus", lambda: 2)
-        tracemalloc.start()
-        try:
-            estimate_trace(op, 4 * chunk, StreamSpec(5, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block = 512 * n * 16  # a complex buffer of 512 rows
-        assert peak < 2 * (chunk * n * 16 + 4 * block)
+        # each of two threads holds one row block of draws and a few row-block
+        # temporaries, never a chunk's draws (4 MB per chunk at n = 64)
+        op = LinearOperator.from_matrix(crandn(np.random.default_rng(215), 64, 64))
+        peak = peak_of_two_threads(monkeypatch, lambda count, spec: estimate_trace(op, count, spec))
+        assert peak < 2 * 5 * BLOCK_64
 
     def test_linearity_in_operator_at_fixed_seed(self):
         rng = np.random.default_rng(212)
@@ -418,6 +426,15 @@ class TestSubstitutionSweep:
         assert gaps[1] == gaps[3]
         assert gaps[1][0] > 0.0
 
+    def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
+        # as for estimate_trace: a few row blocks per thread, never a chunk
+        rng = np.random.default_rng(224)
+        a = crandn(rng, 64, 64)
+        b, _ = np.linalg.qr(crandn(rng, 64, 64))
+        peak = peak_of_two_threads(
+            monkeypatch, lambda count, spec: substitution_identity_sweep(a, b, count, spec))
+        assert peak < 2 * 5 * BLOCK_64
+
     def test_identity_b_gives_zero_gap(self):
         rng = np.random.default_rng(219)
         assert substitution_identity_sweep(
@@ -498,3 +515,64 @@ class TestCommutationCheck:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             commutation_estimate_check(np.eye(2), np.eye(3), 10, StreamSpec(0, 0))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_redraw_in_third_block_matches_whole_chunk_draws(monkeypatch, cpus):
+    # the words of row 1100 of chunk 1 (in its third 512-row block) are all
+    # 2**63, whose normals are exactly 0, so that row is redrawn from the
+    # words after the chunk's 2n * 4096; estimate and sweep must equal their
+    # values on the whole-chunk draws of sample_unit_vectors, block by block
+    n, count, row = 8, 3 * sphere.CHUNK_SIZE + 100, 1100
+    spec = StreamSpec(41, 0)
+    stubbed = spec.offset(1)
+    original = GaussianStream.raw_words
+    taken = []
+
+    def raw_words(self, k):
+        words = original(self, k)
+        if self.spec == stubbed:
+            start = self.__dict__.setdefault("words_taken", 0)
+            self.words_taken += k
+            taken.append(k)
+            words[max(2 * n * row - start, 0):max(2 * n * (row + 1) - start, 0)] = 2**63
+        return words
+
+    monkeypatch.setattr(GaussianStream, "raw_words", raw_words)
+    draws = [sample_unit_vectors(GaussianStream(substream), n, hi - lo)
+             for lo, hi, substream in sphere.chunk_layout(spec, count)]
+    assert sum(taken) == 2 * n * (sphere.CHUNK_SIZE + 1)  # one redraw
+
+    def by_blocks(fn, x):
+        return np.concatenate([fn(x[b:b + 512]) for b in range(0, len(x), 512)])
+
+    rng = np.random.default_rng(225)
+    a = crandn(rng, n, n)
+    b, _ = np.linalg.qr(crandn(rng, n, n))
+    op = LinearOperator.from_matrix(a)
+
+    def rayleigh(rows):
+        return _rayleigh_values(op.apply_batch(rows), rows)
+
+    values = [by_blocks(rayleigh, x) for x in draws]
+    total = RunningStats()
+    for v in values:
+        total = merge_stats(total, stats_from_values(v))
+
+    def gaps(z):
+        x = z @ np.conj(b)
+        lhs = np.sum((x @ (a @ b).T) * np.conj(x), axis=1)
+        rhs = np.sum((z @ (b @ a).T) * np.conj(z), axis=1)
+        return np.abs(lhs - rhs)
+
+    monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
+    taken.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimate_trace(op, count, spec)
+        sweep = substitution_identity_sweep(a, b, count, spec)
+        streamed = [v for _, v in sphere.map_chunks(rayleigh, spec, n, count)]
+    assert sum(taken) == 3 * 2 * n * (sphere.CHUNK_SIZE + 1)
+    assert [v.tobytes() for v in streamed] == [v.tobytes() for v in values]
+    assert (report.mean, report.stderr) == (total.mean, total.stderr())
+    assert sweep[0] == max(float(np.max(by_blocks(gaps, z))) for z in draws)

@@ -112,6 +112,16 @@ def test_normalized_trace_matches_numpy_trace():
         assert normalized_trace(a) == pytest.approx(expected, rel=1e-15)
 
 
+def test_normalized_trace_overflow_raises_without_warning():
+    # each entry is finite, the trace 2e308 is not; a trace that fits is kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="normalized trace overflows float64"):
+            normalized_trace(np.diag([1e308, 1e308]))
+        assert normalized_trace(np.diag([1e308, -1e308])) == 0j
+        assert normalized_trace(np.diag([1.5e308, 0.0])) == 0.75e308 + 0j
+
+
 def test_normalized_trace_cyclic_property():
     rng = np.random.default_rng(103)
     for n in (2, 5, 16):

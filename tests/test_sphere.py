@@ -291,9 +291,9 @@ class TestChunkedLayout:
         assert threaded.tobytes() == serial.tobytes()
 
     def test_map_chunks_order_and_errors(self, monkeypatch):
-        # fn gets each chunk's start and draws, and its results come back in
-        # chunk order for any thread count; the first failing chunk in that
-        # order raises
+        # fn gets row blocks of the draws, and each chunk's start and per-row
+        # results come back in chunk order for any thread count; the first
+        # failing chunk in that order raises
         spec, n, count = StreamSpec(35, 0), 2, 6 * CHUNK + 100
         layout = [
             (lo, sample_unit_vectors(GaussianStream(substream), n, hi - lo))
@@ -301,18 +301,22 @@ class TestChunkedLayout:
         ]
         for cpus in (1, 2, 5):
             monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
-            got = list(sphere.map_chunks(lambda lo, x: (lo, x), spec, n, count))
+            got = list(sphere.map_chunks(lambda x: x, spec, n, count))
             assert [lo for lo, _ in got] == [lo for lo, _ in layout]
-            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(got, layout))
+            assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(got, layout))
 
-        def fail_from_chunk_4(lo, x):
-            if lo >= 4 * CHUNK:
-                raise RuntimeError(f"chunk at {lo}")
-            return lo
+        # chunks 4, 5 and 6 fail, each on its first row
+        firsts = {lo: x[0] for lo, x in layout if lo >= 4 * CHUNK}
+
+        def fail_from_chunk_4(x):
+            for lo, first in firsts.items():
+                if np.any(np.all(x == first, axis=1)):
+                    raise RuntimeError(f"chunk at {lo}")
+            return x[:, 0]
 
         monkeypatch.setattr(sphere, "_cpus", lambda: 3)
         results = sphere.map_chunks(fail_from_chunk_4, spec, n, count)
-        assert [next(results) for _ in range(4)] == [0, CHUNK, 2 * CHUNK, 3 * CHUNK]
+        assert [next(results)[0] for _ in range(4)] == [0, CHUNK, 2 * CHUNK, 3 * CHUNK]
         with pytest.raises(RuntimeError, match=f"chunk at {4 * CHUNK}"):
             next(results)
 
