@@ -307,8 +307,8 @@ def estimate_matrix_trace(
     """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
 
     raw=True reports the trace tr(A) itself: mean, stderr, ci_radius and
-    exact are all multiplied by n.  A non-finite sample value raises
-    ValueError: the entries are finite, so it is an overflow.
+    exact are all multiplied by n.  A non-finite sample value, or a raw
+    value that overflows, raises ValueError: the entries are finite.
     """
     m = as_matrix(a)
     try:
@@ -319,13 +319,17 @@ def estimate_matrix_trace(
     if not raw:
         return report
     n = m.shape[0]
-    return replace(
+    raw_report = replace(
         report,
         mean=report.mean * n,
         stderr=report.stderr * n,
         ci_radius=report.ci_radius * n,
         exact=report.exact * n,
     )
+    if not np.isfinite([raw_report.mean, raw_report.stderr, raw_report.ci_radius,
+                        raw_report.exact]).all():
+        raise ValueError("raw trace overflows float64; rescale the matrix")
+    return raw_report
 
 
 def _unitary_pair(a, b):

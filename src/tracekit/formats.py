@@ -11,7 +11,11 @@ All numeric output (Matrix Market and JSON alike) prints floats with
 17 significant digits, which round-trips every float64 bit pattern, so
 write -> parse is the identity on matrices and reports.  JSON is
 emitted with fixed key order, making equal inputs produce
-byte-identical documents.
+byte-identical documents.  In a JSON document each float of a complex
+array is formatted once, and a square array that is bitwise the
+conjugate transpose of one written earlier in the same document reuses
+that array's digits, negated as strings; the bytes are the same as if it
+were formatted itself.
 """
 
 from __future__ import annotations
@@ -306,33 +310,79 @@ def dumps(value) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
 
     A complex128 ndarray (1-d or more) is written as nested [re, im] pairs,
-    the same text as its matrix_pairs lists.
+    the same text as its matrix_pairs lists.  Each float is formatted
+    once, and a square array that is bitwise the conjugate transpose of
+    one written earlier in the same document reuses that array's digits.
     """
     pieces = []
-    _emit(value, pieces)
+    _emit(value, pieces, [])
     return "".join(pieces)
 
 
-def _complex_array(a: np.ndarray) -> str:
-    """[re, im] pairs of a complex array, nested by its axes."""
+_SIGN = np.uint64(1 << 63)
+_BRACKETS = str.maketrans("", "", "[]")
+
+
+def _complex_array(a: np.ndarray, written: list) -> str:
+    """[re, im] pairs of a complex array, nested by its axes.
+
+    `written` holds (bits, text) of each nonempty square array the
+    document has written so far, and gains this one's if it is one.
+    """
     m = np.ascontiguousarray(a)
     floats = m.view(np.float64)
     finite = np.isfinite(floats)
     if not finite.all():
         bad = float(floats.flat[np.argmin(finite)])
         raise ValueError(f"cannot serialize non-finite float {bad!r}")
-    # one %-template per row, over the row's interleaved (re, im) floats
-    row = "[" + ", ".join(["[%.17g, %.17g]"] * m.shape[-1]) + "]"
+    row = _row(m.shape[-1], "[%.17g, %.17g]")
+    if not (m.ndim == 2 and m.shape[0] == m.shape[1] and m.size):
+        return _nested(m, row)
+    bits = floats.view(np.uint64)
+    for old_bits, old_text in written:
+        # bitwise conj(old).T: the real bits transposed, the imaginary ones
+        # transposed with the sign bit flipped (-0.0 and 0.0 differ)
+        if (old_bits.shape == bits.shape
+                and np.array_equal(bits[:, 0::2], old_bits[:, 0::2].T)
+                and np.array_equal(bits[:, 1::2], old_bits[:, 1::2].T ^ _SIGN)):
+            text = _conjugate_transpose(old_text, m.shape[0])
+            break
+    else:
+        text = _nested(m, row)
+    written.append((bits, text))
+    return text
 
-    def text(sub: np.ndarray) -> str:
-        if sub.ndim == 1:
-            return row % tuple(sub.view(np.float64).tolist())
-        return "[" + ", ".join(text(part) for part in sub) + "]"
 
-    return text(m)
+def _row(width: int, pair: str) -> str:
+    """A %-template for a row of `width` entries, each written by `pair`."""
+    return "[" + ", ".join([pair] * width) + "]"
 
 
-def _emit(value, pieces) -> None:
+def _nested(m: np.ndarray, row: str) -> str:
+    """An array's text nested by its axes; each 1-d row is `row` % its
+    interleaved (re, im) floats."""
+    if m.ndim == 1:
+        return row % tuple(m.view(np.float64).tolist())
+    return "[" + ", ".join([_nested(part, row) for part in m]) + "]"
+
+
+def _conjugate_transpose(text: str, n: int) -> str:
+    """The text of conj(a).T from the text of a nonempty n x n array a.
+
+    The digits are reused, not formatted again: %.17g of -x is "-"
+    followed by %.17g of x for every finite x, signed zeros included, so
+    negating an imaginary token as a string gives the digits of -im.
+    """
+    tokens = text.translate(_BRACKETS).split(", ")
+    re, im = tokens[0::2], tokens[1::2]
+    tokens[0::2] = [t for j in range(n) for t in re[j::n]]
+    tokens[1::2] = [t[1:] if t[0] == "-" else "-" + t for j in range(n) for t in im[j::n]]
+    row = _row(n, "[%s, %s]")
+    return "[" + ", ".join([row % tuple(tokens[k:k + 2 * n])
+                            for k in range(0, 2 * n * n, 2 * n)]) + "]"
+
+
+def _emit(value, pieces, written) -> None:
     if value is None:
         pieces.append("null")
     elif isinstance(value, bool):
@@ -346,13 +396,13 @@ def _emit(value, pieces) -> None:
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128 and value.ndim:
-        pieces.append(_complex_array(value))
+        pieces.append(_complex_array(value, written))
     elif isinstance(value, (list, tuple)):
         pieces.append("[")
         for k, item in enumerate(value):
             if k:
                 pieces.append(", ")
-            _emit(item, pieces)
+            _emit(item, pieces, written)
         pieces.append("]")
     elif isinstance(value, dict):
         pieces.append("{")
@@ -363,7 +413,7 @@ def _emit(value, pieces) -> None:
                 pieces.append(", ")
             pieces.append(json.dumps(key))
             pieces.append(": ")
-            _emit(item, pieces)
+            _emit(item, pieces, written)
         pieces.append("}")
     else:
         raise ValueError(f"cannot serialize {type(value).__name__} to JSON")

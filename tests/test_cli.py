@@ -13,9 +13,17 @@ import pytest
 
 import tracekit
 from tracekit.cli import main
-from tracekit.formats import write_json_dense, write_matrix_market
+from tracekit.formats import (
+    complex_pair,
+    dumps,
+    matrix_pairs,
+    parse_matrix_market,
+    write_json_dense,
+    write_matrix_market,
+)
 from tracekit.linalg import matrix_unit
 from tracekit.uniqueness import _MAX_DIM
+from tracekit.unitary import decompose_into_unitaries, determinant
 
 
 def crandn(rng, *shape):
@@ -186,6 +194,18 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err == "error: normalized trace overflows float64; rescale the matrix\n"
 
+    @pytest.mark.parametrize("seed", ["3", "5"])
+    def test_overflowing_raw_trace_exits_1_with_one_line(self, capsys, tmp_path, seed):
+        # the normalized mean of the one draw is finite; twice it is not
+        path = tmp_path / "big.mm"
+        path.write_text(write_matrix_market(np.diag([1.2e308, -1.2e308])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "estimate", str(path), "--raw",
+                                 "--samples", "1", "--seed", seed)
+        assert code == 1 and out == ""
+        assert err == "error: raw trace overflows float64; rescale the matrix\n"
+
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", "line 3"),
@@ -242,6 +262,36 @@ class TestDecompose:
         assert code == 0
         doc = json.loads(out)
         assert [t["coefficient"] for t in doc["terms"]] == [[0.5, 0.0], [0.5, 0.0]]
+
+    @pytest.mark.parametrize("kind", ["general", "hermitian", "det-one"])
+    def test_output_bytes_match_the_list_path(self, capsys, tmp_path, kind):
+        # U* of each pair is written from U's digits; the bytes must be
+        # those of the same document with every float formatted itself
+        rng = np.random.default_rng(602)
+        a = crandn(rng, 7, 7)
+        if kind == "hermitian":
+            a = (a + a.conj().T) / 2
+            a = a / (2.0 * np.linalg.norm(a, 2))
+        path = tmp_path / "a.mm"
+        path.write_text(write_matrix_market(a))
+        det_one = kind == "det-one"
+        code, out, _ = run(capsys, "decompose", str(path), *["--det-one"] * det_one)
+        assert code == 0
+        dec = decompose_into_unitaries(parse_matrix_market(path.read_text()), det_one=det_one)
+        units = dec.unitaries
+        paired = [np.array_equal(np.conj(u).T.copy().view(np.uint64), v.view(np.uint64))
+                  for u, v in zip(units[0::2], units[1::2])]
+        assert paired == {"general": [True, True], "hermitian": [True],
+                          "det-one": [False, False]}[kind]
+        doc = {
+            "n": 7,
+            "terms": [{"coefficient": complex_pair(c), "det": complex_pair(determinant(u)),
+                       "unitary": matrix_pairs(u)}
+                      for c, u in zip(dec.coefficients, units)],
+            "reconstruction_residual": dec.reconstruction_residual,
+            "unitarity_residual": dec.unitarity_residual,
+        }
+        assert out == dumps(doc) + "\n"
 
     def test_random_with_det_one(self, capsys, random_file):
         code, out, _ = run(capsys, "decompose", random_file, "--det-one")

@@ -479,6 +479,16 @@ class TestEstimateMatrixTrace:
             with pytest.raises(ValueError, match="rescale the matrix"):
                 estimate_matrix_trace(a, samples, StreamSpec(0, 0))
 
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_raw_overflow_asks_to_rescale(self, seed):
+        # the one draw's value is finite, near -1.06e308; n times it is not
+        a = np.diag([1.2e308, -1.2e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(estimate_matrix_trace(a, 1, StreamSpec(seed, 0)).mean)
+            with pytest.raises(ValueError, match="raw trace overflows float64; rescale"):
+                estimate_matrix_trace(a, 1, StreamSpec(seed, 0), raw=True)
+
 
 class TestCommutationCheck:
     def test_diagonal_exact_oracle_equality(self):

@@ -1,5 +1,6 @@
 """Matrix Market and JSON round-trips, cross-checked against scipy.io."""
 
+import gc
 import io
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+from tracekit import formats
 from tracekit.estimator import EstimateReport
 from tracekit.formats import (
     MatrixMarketError,
@@ -21,6 +23,7 @@ from tracekit.formats import (
     write_report_json,
 )
 from tracekit.sphere import StreamSpec
+from tracekit.unitary import decompose_into_unitaries
 
 
 def crandn(rng, *shape):
@@ -344,6 +347,15 @@ class TestDeterministicJson:
                     np.array([1.0, complex(0.0, -np.inf)])):
             with pytest.raises(ValueError, match="non-finite float (nan|-inf)"):
                 dumps(bad)
+        # the first in document order, also past an array that a later
+        # conjugate transpose would reuse
+        u = crandn(np.random.default_rng(32), 3, 3)
+        bad = np.conj(u).T.copy()
+        bad[2, 1] = complex(-np.inf, np.nan)
+        with pytest.raises(ValueError, match="non-finite float -inf"):
+            dumps({"u": u, "bad": bad, "x": np.nan})
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            dumps({"x": np.nan, "u": u, "bad": bad})
 
     def test_complex_array_as_pairs(self):
         # an array is written as the same text as its nested [re, im] lists,
@@ -353,11 +365,51 @@ class TestDeterministicJson:
         for m in (a, np.asfortranarray(a), a[::2, 1::2], a.T):
             assert dumps(m) == dumps(matrix_pairs(m))
             assert dumps({"u": m}) == dumps({"u": matrix_pairs(m)})
+        # a conjugate transpose reuses the digits of its original
+        s = a[:5].copy()
+        s[1, :4] = [complex(0.0, -0.0), complex(-5e-324, 5e-324),
+                    complex(2.2e-308, -1e-310), complex(-1.7976931348623157e308, -0.0)]
+        pair = [s, np.conj(s).T, s, np.conj(s)]
+        assert dumps(pair) == dumps([matrix_pairs(m) for m in pair])
         assert dumps(a[0]) == dumps([complex_pair(z) for z in a[0]])
         assert dumps(a.reshape(3, 2, 5)) == dumps(
             [matrix_pairs(block) for block in a.reshape(3, 2, 5)])
         for shape, text in (((0,), "[]"), ((2, 0), "[[], []]"), ((0, 3), "[]")):
             assert dumps(np.zeros(shape, dtype=complex)) == text
+
+    def test_conjugate_transpose_reuses_digits(self, monkeypatch):
+        # only a square array bitwise equal to conj(earlier).T is rebuilt
+        # from the earlier text; a sign-flipped zero is a different array
+        calls = []
+        reuse = formats._conjugate_transpose
+        monkeypatch.setattr(formats, "_conjugate_transpose",
+                            lambda text, n: calls.append(n) or reuse(text, n))
+        u = crandn(np.random.default_rng(31), 4, 4)
+        u[0, 1] = complex(1.0, 0.0)
+        flipped = np.conj(u).T.copy()
+        flipped[1, 0] = complex(1.0, 0.0)  # conj gives (1.0, -0.0)
+        shifted = np.conj(u).T.copy()
+        shifted.real += 1.0
+        doc = [u, u.T, flipped, shifted, np.conj(u).T, np.conj(u[:3]).T,
+               np.conj(np.conj(u).T).T]
+        assert dumps(doc) == dumps([matrix_pairs(m) for m in doc])
+        assert calls == [4, 4]
+
+    def test_dumps_leaves_no_cyclic_garbage(self):
+        # garbage in a reference cycle waits for the cyclic collector, so
+        # every formatted array would stay alive until it ran
+        dec = decompose_into_unitaries(crandn(np.random.default_rng(33), 6, 6))
+        doc = {"terms": [{"coefficient": complex_pair(c), "unitary": u}
+                         for c, u in zip(dec.coefficients, dec.unitaries)]}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            dumps(doc)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_rejects_unknown_types(self):
         with pytest.raises(ValueError, match="serialize"):

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from tracekit.cli import main  # noqa: E402
 from tracekit.formats import (  # noqa: E402
     MatrixMarketError,
+    dumps,
+    matrix_pairs,
     parse_json_dense,
     parse_matrix_market,
 )
@@ -223,3 +225,28 @@ def test_cli_on_json_exits_with_a_documented_code(text, argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error:")
+
+
+# finite floats, with the signed zeros, subnormals and extremes drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def square_complex(draw):
+    n = draw(st.integers(1, 4))
+    parts = draw(st.lists(FINITE, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(parts).view(np.complex128).reshape(n, n)
+
+
+@SETTINGS
+@given(square_complex(), st.floats(min_value=0.0, allow_infinity=False))
+def test_conjugate_transpose_writes_the_digits_of_its_floats(a, x):
+    # the list path formats every float itself, so it is an independent
+    # reference for the array path, which negates digits as strings
+    doc = [a, np.conj(a).T, a]
+    assert dumps(doc) == dumps([matrix_pairs(m) for m in doc])
+    assert "%.17g" % -x == "-" + "%.17g" % x
