@@ -17,7 +17,7 @@ from tracekit import (
     StreamSpec,
     commutation_estimate_check,
     decompose_into_unitaries,
-    sample_unit_vector,
+    sample_unit_vectors,
     substitution_identity_check,
 )
 
@@ -35,7 +35,7 @@ print(f"||B*B - I||_F = {np.linalg.norm(b.conj().T @ b - np.eye(n)):.2e}")
 # draw-by-draw substitution identity
 worst = 0.0
 for k in range(5):
-    z = sample_unit_vector(GaussianStream(StreamSpec(master_seed=3, stream_index=k)), n)
+    z = sample_unit_vectors(GaussianStream(StreamSpec(master_seed=3, stream_index=k)), n, 1)[0]
     lhs, rhs, gap = substitution_identity_check(a, b, z)
     worst = max(worst, gap)
     print(f"draw {k}: <ABx, x> at x = B*z: {lhs:+.6f}   <BAz, z> = {rhs:+.6f}   gap {gap:.1e}")

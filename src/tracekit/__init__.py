@@ -18,7 +18,6 @@ from .estimator import (
     estimate_trace,
     inner,
     merge_stats,
-    numerical_value,
     stats_from_values,
     substitution_identity_check,
 )
@@ -26,25 +25,21 @@ from .formats import (
     MatrixMarketError,
     parse_json_dense,
     parse_matrix_market,
-    parse_report_json,
     write_json_dense,
     write_matrix_market,
     write_report_json,
 )
 from .linalg import (
-    EigenDecomposition,
     frobenius_norm,
     hermitian_eigh,
     matrix_unit,
     normalized_trace,
-    operator_norm_hermitian,
 )
 from .sphere import (
     GaussianStream,
     StreamSpec,
     gaussian_matrix,
     gaussian_vector,
-    sample_unit_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
@@ -58,7 +53,6 @@ from .unitary import (
     UnitaryDecomposition,
     decompose_into_unitaries,
     determinant,
-    hermitian_contraction_to_unitary,
     hermitian_parts,
     rephase_to_det_one,
 )
@@ -66,7 +60,6 @@ from .unitary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenDecomposition",
     "EstimateReport",
     "FunctionalSolution",
     "GaussianStream",
@@ -84,20 +77,15 @@ __all__ = [
     "frobenius_norm",
     "gaussian_matrix",
     "gaussian_vector",
-    "hermitian_contraction_to_unitary",
     "hermitian_eigh",
     "hermitian_parts",
     "inner",
     "matrix_unit",
     "merge_stats",
     "normalized_trace",
-    "numerical_value",
-    "operator_norm_hermitian",
     "parse_json_dense",
     "parse_matrix_market",
-    "parse_report_json",
     "rephase_to_det_one",
-    "sample_unit_vector",
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
     "solve_unique_functional",

@@ -20,7 +20,9 @@ Conventions fixed here and relied on everywhere else:
   fixed chunk layout of `sphere.map_chunks`, which evaluates the chunks
   on a thread pool; each chunk's statistics are merged in chunk order, so
   reports are bitwise reproducible for a fixed (seed, n_samples)
-  regardless of thread count.
+  regardless of the pool's thread count (the CPU affinity).  The BLAS
+  library's own thread count can change the last bits of the operator
+  apply, and so of a report, from about n = 130.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .sphere import (
 __all__ = [
     "LinearOperator",
     "inner",
-    "numerical_value",
     "RunningStats",
     "merge_stats",
     "stats_from_values",
@@ -139,21 +140,6 @@ def inner(u, v) -> complex:
 def _rayleigh_values(images: np.ndarray, x: np.ndarray) -> np.ndarray:
     re, im, sq = _split_sums(images, x)
     return (re / sq) + 1j * (im / sq)
-
-
-def numerical_value(op: LinearOperator, x) -> complex:
-    """The Rayleigh quotient <op(x), x> / <x, x> at a nonzero vector x.
-
-    For the identity operator this is exactly 1.0 + 0.0j whatever x is:
-    the numerator and denominator sums are computed identically.
-    """
-    v = as_vector(x)
-    if v.shape[0] != op.dim:
-        raise ValueError(f"vector has dimension {v.shape[0]}, operator {op.dim}")
-    sq = float(np.sum(v.real * v.real + v.imag * v.imag))
-    if sq == 0.0:
-        raise ValueError("numerical value undefined at the zero vector")
-    return complex(_rayleigh_values(op.apply(v), v))
 
 
 @dataclass(frozen=True)
@@ -260,13 +246,15 @@ def estimate_trace(
 
     Draws follow the chunk layout of map_chunks at `spec`, and chunk
     statistics are merged left to right, so the report depends only on
-    (spec, n_samples) and is bitwise identical for any thread count.  The
-    confidence radius is z * stderr.
+    (spec, n_samples) and is bitwise identical for any number of pool
+    threads; the BLAS library's thread count can change its last bits
+    from about n = 130.  The confidence radius is z * stderr.
 
     Unless the operator is marked assume_linear, three random probes
     verify linearity first; a failed probe raises ValueError.  A
     non-finite sample value raises FloatingPointError naming the sample
-    index, and a mean or stderr that overflows float64 raises ValueError.
+    index, and a mean or stderr that overflows float64 raises ValueError,
+    as does a z so large that z * stderr does.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -291,12 +279,15 @@ def estimate_trace(
     stderr = total.stderr()
     if not np.isfinite([total.mean, stderr]).all():
         raise ValueError("sample statistics overflow float64; rescale the matrix")
+    ci_radius = z * stderr
+    if not math.isfinite(ci_radius):
+        raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
     return EstimateReport(
         dim=op.dim,
         sample_count=n_samples,
         mean=total.mean,
         stderr=stderr,
-        ci_radius=z * stderr,
+        ci_radius=ci_radius,
         spec=spec,
     )
 

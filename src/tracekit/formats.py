@@ -9,7 +9,8 @@ read.  Written files always use "array complex general".
 
 All numeric output (Matrix Market and JSON alike) prints floats with
 17 significant digits, which round-trips every float64 bit pattern, so
-write -> parse is the identity on matrices and reports.  JSON is
+write -> parse is the identity on matrices, and every float of a report
+reads back with its bits.  JSON is
 emitted with fixed key order, making equal inputs produce
 byte-identical documents.  In a JSON document each float of a complex
 array is formatted once, and a square array that is bitwise the
@@ -28,7 +29,6 @@ import re
 import numpy as np
 
 from .estimator import EstimateReport
-from .sphere import StreamSpec
 
 __all__ = [
     "MAX_DENSE_BYTES",
@@ -37,7 +37,6 @@ __all__ = [
     "write_matrix_market",
     "parse_json_dense",
     "write_json_dense",
-    "parse_report_json",
     "write_report_json",
     "dumps",
     "complex_pair",
@@ -438,31 +437,3 @@ def write_report_json(report: EstimateReport) -> str:
     if report.exact is not None:
         doc["abs_error"] = report.abs_error()
     return dumps(doc) + "\n"
-
-
-def parse_report_json(text) -> EstimateReport:
-    """Rebuild an EstimateReport from write_report_json output.
-
-    The document stores only the master seed; reports are always based
-    at stream index 0, so that is what the spec is rebuilt with.
-    """
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object")
-    for key in ("n", "samples", "mean", "stderr", "ci_radius", "seed"):
-        if key not in doc:
-            raise ValueError(f"report is missing key {key!r}")
-    for key in ("n", "samples", "seed"):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-            raise ValueError(f"{key}: expected an integer, got {doc[key]!r}")
-    mean = _complex_from_pair(doc["mean"], "mean")
-    exact = doc.get("exact")
-    return EstimateReport(
-        dim=int(doc["n"]),
-        sample_count=int(doc["samples"]),
-        mean=mean,
-        stderr=_real_number(doc["stderr"], "stderr"),
-        ci_radius=_real_number(doc["ci_radius"], "ci_radius"),
-        spec=StreamSpec(int(doc["seed"]), 0),
-        exact=None if exact is None else _complex_from_pair(exact, "exact"),
-    )

@@ -14,19 +14,16 @@ residuals, computed from the unitaries it returns.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "as_matrix",
     "as_vector",
     "frobenius_norm",
     "hermitian_eigh",
     "matrix_unit",
     "normalized_trace",
-    "operator_norm_hermitian",
 ]
 
 
@@ -103,11 +100,6 @@ def matrix_unit(i: int, j: int, n: int) -> np.ndarray:
     return e
 
 
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # real float64, nondecreasing
-    basis: np.ndarray  # unitary, column k is the eigenvector for eigenvalues[k]
-
-
 def _require_hermitian(h: np.ndarray, name: str) -> None:
     # Both norms are taken of h / max|h_ij|, so neither overflows; the test
     # is ||h - h*||_F <= 1e-12 * max(1, ||h||_F), divided through by the peak.
@@ -124,11 +116,12 @@ def _require_hermitian(h: np.ndarray, name: str) -> None:
         )
 
 
-def hermitian_eigh(h) -> EigenDecomposition:
+def hermitian_eigh(h):
     """Full eigendecomposition of a Hermitian matrix, by LAPACK (numpy.linalg.eigh).
 
-    Returns eigenvalues in nondecreasing order together with a unitary
-    matrix of eigenvectors (as columns, C-contiguous): h == Q diag(w) Q*.
+    Returns numpy's (eigenvalues, eigenvectors) pair: real eigenvalues w
+    in nondecreasing order and a unitary Q whose column k is the
+    eigenvector for w[k] (C-contiguous), so h == Q diag(w) Q*.
     LAPACK reads one triangle, so the solve is of the exactly Hermitian
     average h/2 + h*/2 (halved first, so it is finite), which differs from
     h by no more than the check.
@@ -138,10 +131,4 @@ def hermitian_eigh(h) -> EigenDecomposition:
     """
     h0 = as_matrix(h, "hermitian matrix")
     _require_hermitian(h0, "matrix")
-    return EigenDecomposition(*np.linalg.eigh(h0 / 2.0 + np.conj(h0).T / 2.0))
-
-
-def operator_norm_hermitian(h) -> float:
-    """Spectral norm of a Hermitian matrix: largest |eigenvalue|."""
-    w = hermitian_eigh(h).eigenvalues
-    return float(max(abs(w[0]), abs(w[-1])))
+    return np.linalg.eigh(h0 / 2.0 + np.conj(h0).T / 2.0)

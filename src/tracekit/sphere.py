@@ -45,7 +45,6 @@ __all__ = [
     "GaussianStream",
     "gaussian_vector",
     "gaussian_matrix",
-    "sample_unit_vector",
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
     "chunk_layout",
@@ -206,11 +205,6 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
     of its entries.
     """
     return _map_rows(_identity, stream, n, count)
-
-
-def sample_unit_vector(stream: GaussianStream, n: int) -> np.ndarray:
-    """Draw one unit vector from the stream."""
-    return sample_unit_vectors(stream, n, 1)[0]
 
 
 def chunk_layout(spec: StreamSpec, count: int):

@@ -20,7 +20,6 @@ from .sphere import GaussianStream, StreamSpec, gaussian_matrix
 
 __all__ = [
     "hermitian_parts",
-    "hermitian_contraction_to_unitary",
     "UnitaryDecomposition",
     "decompose_into_unitaries",
     "seeded_unitary",
@@ -43,22 +42,6 @@ def hermitian_parts(a) -> Tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(h1).all() and np.isfinite(h2).all()):
         raise ValueError("Hermitian parts overflow float64; rescale the matrix")
     return h1, h2
-
-
-def hermitian_contraction_to_unitary(h) -> np.ndarray:
-    """U = H - i (I - H^2)^(1/2) for a Hermitian contraction H.
-
-    The square root is taken in an eigenbasis of H, with eigenvalue
-    rounding clamped so 1 - lambda^2 never goes negative.  Raises
-    ValueError if H is not Hermitian or its operator norm exceeds
-    1 + 1e-12.
-    """
-    w, q = hermitian_eigh(as_matrix(h, "hermitian contraction"))
-    norm = max(abs(w[0]), abs(w[-1]))
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"not a contraction: operator norm {norm:.12g} exceeds 1; "
-                         f"rescale by the operator norm first")
-    return _phase_unitary(w, q)
 
 
 def _phase_unitary(w, q) -> np.ndarray:

@@ -24,7 +24,7 @@ from tracekit.formats import (
     write_json_dense,
     write_matrix_market,
 )
-from tracekit.linalg import hermitian_eigh, normalized_trace, operator_norm_hermitian
+from tracekit.linalg import hermitian_eigh, normalized_trace
 from tracekit.sphere import StreamSpec, sample_unit_vectors_chunked
 from tracekit.uniqueness import solve_unique_functional
 from tracekit.unitary import (
@@ -51,7 +51,8 @@ def random_hermitian(rng, n):
 
 def random_unitary_via_decomposition(rng, n):
     h = random_hermitian(rng, n)
-    h = h / max(operator_norm_hermitian(h), 1.0)
+    w = hermitian_eigh(h)[0]
+    h = h / max(max(abs(w[0]), abs(w[-1])), 1.0)
     return decompose_into_unitaries(h).unitaries[0]
 
 

@@ -16,7 +16,6 @@ from tracekit.estimator import (
     estimate_trace,
     inner,
     merge_stats,
-    numerical_value,
     estimate_matrix_trace,
     stats_from_values,
     substitution_identity_check,
@@ -26,7 +25,6 @@ from tracekit.linalg import matrix_unit, normalized_trace
 from tracekit.sphere import (
     GaussianStream,
     StreamSpec,
-    sample_unit_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
@@ -93,42 +91,40 @@ class TestInner:
 
 
 class TestNumericalValue:
+    """<A x, x> / <x, x>, on the path the estimator runs."""
+
     def test_identity_is_exact(self):
         rng = np.random.default_rng(202)
         for n in (1, 2, 4, 8, 16):
             op = LinearOperator.from_matrix(np.eye(n))
-            x = crandn(rng, n)  # deliberately not unit
-            assert numerical_value(op, x) == 1.0 + 0.0j
+            x = crandn(rng, 3, n)  # deliberately not unit
+            assert np.all(_rayleigh_values(op.apply_batch(x), x) == 1.0 + 0.0j)
 
     def test_hand_value_matrix_unit(self):
         # <e_01 x, x> at x = (1,1)/sqrt(2): first entry of e_01 x is
         # x[1], so the form gives x[1] * conj(x[0]) = 1/2
         op = LinearOperator.from_matrix(matrix_unit(0, 1, 2))
-        x = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert numerical_value(op, x) == pytest.approx(0.5, abs=1e-15)
+        x = np.array([[1.0, 1.0]], dtype=np.complex128) / np.sqrt(2.0)
+        assert _rayleigh_values(op.apply_batch(x), x)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_vdot_oracle(self):
+        # the estimate is the mean of the values at its own draws, two chunks
+        # of them, each value taken here by numpy's vdot
         rng = np.random.default_rng(203)
         a = crandn(rng, 6, 6)
-        op = LinearOperator.from_matrix(a)
-        x = crandn(rng, 6)
-        expected = np.vdot(x, a @ x) / np.vdot(x, x)
-        assert numerical_value(op, x) == pytest.approx(expected, rel=1e-12)
+        spec = StreamSpec(203, 0)
+        count = sphere.CHUNK_SIZE + 700
+        oracle = np.mean([np.vdot(x, a @ x) / np.vdot(x, x)
+                          for x in sample_unit_vectors_chunked(spec, 6, count)])
+        rep = estimate_trace(LinearOperator.from_matrix(a), count, spec)
+        assert rep.mean == pytest.approx(oracle, rel=1e-12)
 
     def test_hermitian_values_are_real(self):
         rng = np.random.default_rng(204)
-        g = crandn(rng, 7, 7)
+        g = crandn(rng, 6, 6)
         op = LinearOperator.from_matrix((g + g.conj().T) / 2)
-        for _ in range(20):
-            x = sample_unit_vector(GaussianStream(StreamSpec(5, 0)), 7)
-            assert abs(numerical_value(op, x).imag) <= 1e-12
-
-    def test_rejects_zero_vector_and_mismatch(self):
-        op = LinearOperator.from_matrix(np.eye(3))
-        with pytest.raises(ValueError, match="zero vector"):
-            numerical_value(op, np.zeros(3))
-        with pytest.raises(ValueError, match="dimension"):
-            numerical_value(op, np.ones(4))
+        rep = estimate_trace(op, sphere.CHUNK_SIZE + 700, StreamSpec(204, 0))
+        assert abs(rep.mean.imag) <= 1e-12 * abs(rep.mean.real)
 
 
 class TestLinearOperator:
@@ -328,6 +324,9 @@ class TestEstimateTrace:
             estimate_trace(op, 0, StreamSpec(0, 0))
         with pytest.raises(ValueError, match="z must be > 0"):
             estimate_trace(op, 10, StreamSpec(0, 0), z=0.0)
+        spread = LinearOperator.from_matrix(np.diag([100.0, -100.0]))
+        with pytest.raises(ValueError, match=r"z = 1e\+308; lower z"):
+            estimate_trace(spread, 50, StreamSpec(0, 0), z=1e308)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_value_names_sample(self):
@@ -359,7 +358,7 @@ class TestSubstitutionIdentity:
     def test_identity_b_is_exact(self):
         rng = np.random.default_rng(214)
         a = crandn(rng, 4, 4)
-        z = sample_unit_vector(GaussianStream(StreamSpec(6, 0)), 4)
+        z = sample_unit_vectors(GaussianStream(StreamSpec(6, 0)), 4, 1)[0]
         lhs, rhs, gap = substitution_identity_check(a, np.eye(4), z)
         assert lhs == rhs
         assert gap == 0.0
@@ -368,7 +367,7 @@ class TestSubstitutionIdentity:
         rng = np.random.default_rng(215)
         a = crandn(rng, 2, 2)
         b = np.diag([1j, -1j])
-        z = sample_unit_vector(GaussianStream(StreamSpec(7, 0)), 2)
+        z = sample_unit_vectors(GaussianStream(StreamSpec(7, 0)), 2, 1)[0]
         lhs, rhs, gap = substitution_identity_check(a, b, z)
         assert gap <= 1e-12
 
@@ -377,7 +376,7 @@ class TestSubstitutionIdentity:
         for n in (2, 5, 8):
             a = crandn(rng, n, n)
             q, _ = np.linalg.qr(crandn(rng, n, n))
-            z = sample_unit_vector(GaussianStream(StreamSpec(n, 0)), n)
+            z = sample_unit_vectors(GaussianStream(StreamSpec(n, 0)), n, 1)[0]
             _, _, gap = substitution_identity_check(a, q, z)
             assert gap <= 1e-10 * (1.0 + np.linalg.norm(a))
 

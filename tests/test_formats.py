@@ -17,7 +17,6 @@ from tracekit.formats import (
     matrix_pairs,
     parse_json_dense,
     parse_matrix_market,
-    parse_report_json,
     write_json_dense,
     write_matrix_market,
     write_report_json,
@@ -314,11 +313,6 @@ class TestJsonDense:
         huge = "1" + "0" * 400
         with pytest.raises(ValueError, match=r"entry \(0, 0\)\[0\]: non-finite value"):
             parse_json_dense(f"[[[{huge}, 0]]]")
-        with pytest.raises(ValueError, match="stderr: non-finite value"):
-            parse_report_json(
-                f'{{"n": 1, "samples": 1, "mean": [0, 0], "stderr": -{huge},'
-                ' "ci_radius": 0, "seed": 0, "exact": null}'
-            )
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError, match="JSON"):
@@ -450,24 +444,11 @@ class TestReportJson:
         assert json.loads(write_report_json(rep))["exact"] is None
 
     def test_round_trip_field_identical(self):
+        # every float reads back with its bits, the sign of zero included,
+        # through the JSON reader of parse_json_dense
         rep = self.report()
-        back = parse_report_json(write_report_json(rep))
-        assert back == rep
-        # == cannot see the sign of zero; the bytes can
         rep.mean, rep.exact = complex(-0.0, -0.125), complex(0.25, -0.0)
-        back = parse_report_json(write_report_json(rep))
+        doc = formats._load_json(write_report_json(rep))
         for field in ("mean", "stderr", "ci_radius", "exact"):
-            assert np.array(getattr(back, field)).tobytes() == np.array(getattr(rep, field)).tobytes()
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError, match="missing"):
-            parse_report_json('{"n": 2}')
-        with pytest.raises(ValueError, match="JSON"):
-            parse_report_json("{")
-        with pytest.raises(ValueError, match="nested too deeply"):
-            parse_report_json("[" * 100000 + "]" * 100000)
-        with pytest.raises(ValueError, match="integer"):
-            parse_report_json(
-                '{"n": 2.5, "samples": 1, "mean": [0,0], "stderr": 0,'
-                ' "ci_radius": 0, "seed": 0, "exact": null}'
-            )
+            back = complex(*doc[field]) if field in ("mean", "exact") else doc[field]
+            assert np.array(back).tobytes() == np.array(getattr(rep, field)).tobytes()

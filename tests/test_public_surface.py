@@ -1,0 +1,54 @@
+"""Every public name of a layer module has a caller outside the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tracekit"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _layer_names(tree):
+    """(layer, name) of every "layer.name[.attr]" string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) >= 2:
+                yield parts[0], parts[1]
+
+
+def test_every_public_name_has_a_caller():
+    # A use is a Name or Attribute in a layer module or a demo, or a
+    # "layer.name" string in perfbench, which wraps public names by those
+    # strings.  A def, a class or an __all__ entry is no Name, and
+    # tracekit/__init__.py only re-exports, so none of them counts.
+    layers = {p.stem: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    used = set()
+    for path in [*layers.values(), *(ROOT / "demos").glob("*.py")]:
+        used.update(_identifiers(_tree(path)))
+    traced = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        traced.update(_layer_names(_tree(path)))
+    unused = [f"{layer}.{name}" for layer, path in sorted(layers.items())
+              for name in _public_names(_tree(path))
+              if name not in used and (layer, name) not in traced]
+    assert unused == [], f"public names that only tests use: {unused}"

@@ -14,7 +14,6 @@ from tracekit.sphere import (
     StreamSpec,
     gaussian_matrix,
     gaussian_vector,
-    sample_unit_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
@@ -126,7 +125,7 @@ class TestDeterminism:
         g = GaussianStream(spec).gaussians(6)
         z = g[0::2] + 1j * g[1::2]
         expected = z / np.sqrt(np.sum(z.real * z.real + z.imag * z.imag))
-        assert np.array_equal(sample_unit_vector(GaussianStream(spec), 3), expected)
+        assert np.array_equal(sample_unit_vectors(GaussianStream(spec), 3, 1)[0], expected)
 
 
 def test_gaussian_vector_and_matrix_agree_on_consumption():
@@ -225,7 +224,7 @@ def test_underflow_in_later_block_redraws_after_whole_chunk(monkeypatch):
 
 
 def test_single_vector_matches_first_of_batch():
-    one = sample_unit_vector(GaussianStream(StreamSpec(9, 0)), 5)
+    one = sample_unit_vectors(GaussianStream(StreamSpec(9, 0)), 5, 1)[0]
     batch = sample_unit_vectors(GaussianStream(StreamSpec(9, 0)), 5, 3)
     assert np.array_equal(one, batch[0])
 

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from tracekit import linalg, unitary
-from tracekit.linalg import hermitian_eigh, operator_norm_hermitian
+from tracekit import unitary
+from tracekit.linalg import hermitian_eigh
 from tracekit.sphere import StreamSpec
 from tracekit.unitary import (
     decompose_into_unitaries,
     determinant,
-    hermitian_contraction_to_unitary,
     hermitian_parts,
     rephase_to_det_one,
     seeded_unitary,
@@ -25,9 +24,16 @@ def random_hermitian(rng, n):
     return (g + g.conj().T) / 2
 
 
+def operator_norm(h):
+    """Largest |eigenvalue| of a Hermitian h, as decompose_into_unitaries
+    takes it from its own solve of h."""
+    w = hermitian_eigh(h)[0]
+    return max(abs(w[0]), abs(w[-1]))
+
+
 def random_contraction(rng, n):
     h = random_hermitian(rng, n)
-    return h / (operator_norm_hermitian(h) * (1.0 + rng.uniform(0.0, 1.0)))
+    return h / (operator_norm(h) * (1.0 + rng.uniform(0.0, 1.0)))
 
 
 class TestHermitianParts:
@@ -67,18 +73,17 @@ class TestHermitianParts:
 
 
 class TestContractionToUnitary:
-    def test_zero_gives_minus_i_identity(self):
-        u = hermitian_contraction_to_unitary(np.zeros((3, 3)))
-        np.testing.assert_allclose(u, -1j * np.eye(3), atol=1e-14)
+    """U = H - i (I - H^2)^(1/2) of a Hermitian contraction H, the first term
+    of its decomposition 0.5 U + 0.5 U*."""
 
     def test_identity_stays_identity(self):
-        u = hermitian_contraction_to_unitary(np.eye(4))
+        u = decompose_into_unitaries(np.eye(4)).unitaries[0]
         np.testing.assert_allclose(u, np.eye(4), atol=1e-12)
 
     def test_known_diagonal(self):
         # eigenvalue map lambda -> lambda - i sqrt(1 - lambda^2):
         # 1 -> 1, 0 -> -i, -1 -> -1
-        u = hermitian_contraction_to_unitary(np.diag([1.0, 0.0, -1.0]))
+        u = decompose_into_unitaries(np.diag([1.0, 0.0, -1.0])).unitaries[0]
         np.testing.assert_allclose(u, np.diag([1.0, -1j, -1.0]), atol=1e-12)
 
     def test_flip_matrix_maps_to_itself(self):
@@ -87,7 +92,7 @@ class TestContractionToUnitary:
         # sqrt(1 - lambda^2) amplifies that to ~1e-8, so the tolerance
         # here is sqrt-of-eigensolver, not eigensolver, sized
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
-        u = hermitian_contraction_to_unitary(h)
+        u = decompose_into_unitaries(h).unitaries[0]
         np.testing.assert_allclose(u, h, atol=1e-7)
         np.testing.assert_allclose((u + u.conj().T) / 2, h, atol=1e-12)
 
@@ -95,29 +100,18 @@ class TestContractionToUnitary:
         rng = np.random.default_rng(303)
         for n in (1, 3, 6, 12):
             h = random_contraction(rng, n)
-            u = hermitian_contraction_to_unitary(h)
+            u = decompose_into_unitaries(h).unitaries[0]
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n
             scale = max(1.0, np.linalg.norm(h))
             assert np.linalg.norm((u + u.conj().T) / 2 - h) <= 1e-10 * scale
-
-    def test_rejects_expansion(self):
-        with pytest.raises(ValueError, match="rescale"):
-            hermitian_contraction_to_unitary(2.0 * np.eye(2))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_contraction_to_unitary([[0.0, 1.0], [0.0, 0.0]])
-        # the norm of this one overflows float64
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_contraction_to_unitary([[0.0, 1e200], [0.0, 0.0]])
 
     def test_edge_eigenvalue_clamping(self):
         # operator norm can land on 1 + few ulps after scaling; the
         # square root argument must clamp instead of going negative
         rng = np.random.default_rng(304)
         h = random_hermitian(rng, 5)
-        h = h / operator_norm_hermitian(h)
-        u = hermitian_contraction_to_unitary(h)
+        h = h / operator_norm(h)
+        u = decompose_into_unitaries(h).unitaries[0]
         assert np.all(np.isfinite(u.view(np.float64)))
 
 
@@ -151,7 +145,7 @@ class TestDecompose:
     def test_large_hermitian_is_rescaled(self):
         rng = np.random.default_rng(307)
         h = 5.0 * random_hermitian(rng, 4)
-        norm = operator_norm_hermitian(h)
+        norm = operator_norm(h)
         assert norm > 1.0
         dec = decompose_into_unitaries(h)
         assert len(dec.coefficients) == 2
@@ -193,13 +187,13 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [1, 2, 5, 32])
     def test_coefficients_are_half_the_rescaled_norms(self, n):
         # the norm comes from the same eigensolve as the unitary, and equals
-        # operator_norm_hermitian of the part bit for bit
+        # the norm from a separate solve of the part bit for bit
         rng = np.random.default_rng(310 + n)
         a = 3.0 * crandn(rng, n, n)
         dec = decompose_into_unitaries(a)
         expected = []
         for part, front in zip(hermitian_parts(a), (1.0 + 0j, 1j)):
-            half = front * max(operator_norm_hermitian(part), 1.0) / 2.0
+            half = front * max(operator_norm(part), 1.0) / 2.0
             expected += [half, half]
         assert dec.coefficients == expected
 
@@ -207,10 +201,10 @@ class TestDecompose:
         rng = np.random.default_rng(311)
         a = 0.5 * random_contraction(rng, 6) + 0.5j * random_contraction(rng, 6)
         parts = hermitian_parts(a)
-        assert all(operator_norm_hermitian(p) < 1.0 for p in parts)
+        assert all(operator_norm(p) < 1.0 for p in parts)
         units = decompose_into_unitaries(a).unitaries
         for k, part in enumerate(parts):
-            u = hermitian_contraction_to_unitary(part)
+            u = decompose_into_unitaries(part).unitaries[0]
             assert np.array_equal(units[2 * k], u)
             assert np.array_equal(units[2 * k + 1], u.conj().T)
 
@@ -218,8 +212,7 @@ class TestDecompose:
 class TestSolveCount:
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Arguments of every hermitian_eigh call, made directly from
-        tracekit.unitary or through a linalg helper such as the norm."""
+        """Arguments of every hermitian_eigh call made from tracekit.unitary."""
         seen = []
 
         def counting(h, *args, **kwargs):
@@ -227,7 +220,6 @@ class TestSolveCount:
             return hermitian_eigh(h, *args, **kwargs)
 
         monkeypatch.setattr(unitary, "hermitian_eigh", counting)
-        monkeypatch.setattr(linalg, "hermitian_eigh", counting)
         return seen
 
     def test_one_solve_per_hermitian_part(self, solves):
@@ -282,7 +274,7 @@ class TestDeterminant:
 
     def test_unitary_has_unit_modulus(self):
         rng = np.random.default_rng(310)
-        u = hermitian_contraction_to_unitary(random_contraction(rng, 6))
+        u = decompose_into_unitaries(random_contraction(rng, 6)).unitaries[0]
         assert abs(abs(determinant(u)) - 1.0) <= 1e-8
 
 
