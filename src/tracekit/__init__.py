@@ -16,10 +16,8 @@ from .estimator import (
     RunningStats,
     commutation_estimate_check,
     estimate_trace,
-    inner,
     merge_stats,
     stats_from_values,
-    substitution_identity_check,
 )
 from .formats import (
     MatrixMarketError,
@@ -79,7 +77,6 @@ __all__ = [
     "gaussian_vector",
     "hermitian_eigh",
     "hermitian_parts",
-    "inner",
     "matrix_unit",
     "merge_stats",
     "normalized_trace",
@@ -90,7 +87,6 @@ __all__ = [
     "sample_unit_vectors_chunked",
     "solve_unique_functional",
     "stats_from_values",
-    "substitution_identity_check",
     "write_json_dense",
     "write_matrix_market",
     "write_report_json",

@@ -8,7 +8,7 @@ shrinks like 1/sqrt(N).
 Conventions fixed here and relied on everywhere else:
 
 - Inner products are linear in the first slot and conjugate-linear in
-  the second: inner(u, v) = sum_k u[k] * conj(v[k]).
+  the second: <u, v> = sum_k u[k] * conj(v[k]).
 - The per-sample value is the Rayleigh quotient <A x, x> / <x, x>.
   Sample vectors are unit only up to rounding; dividing by the computed
   squared norm cancels that rounding instead of bounding it.  Numerator
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, normalized_trace
+from .linalg import as_matrix, normalized_trace
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
@@ -45,14 +45,12 @@ from .sphere import (
 
 __all__ = [
     "LinearOperator",
-    "inner",
     "RunningStats",
     "merge_stats",
     "stats_from_values",
     "EstimateReport",
     "estimate_trace",
     "estimate_matrix_trace",
-    "substitution_identity_check",
     "substitution_identity_sweep",
     "commutation_estimate_check",
 ]
@@ -125,16 +123,6 @@ def _split_sums(v: np.ndarray, x: np.ndarray):
     im = np.sum(vi * xr - vr * xi, axis=-1)
     sq = np.sum(xr * xr + xi * xi, axis=-1)
     return re, im, sq
-
-
-def inner(u, v) -> complex:
-    """<u, v> = sum_k u[k] conj(v[k]): linear in u, conjugate-linear in v."""
-    a = as_vector(u, "u")
-    b = as_vector(v, "v")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    re, im, _ = _split_sums(a, b)
-    return complex(re) + 1j * complex(im)
 
 
 def _rayleigh_values(images: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -219,7 +207,8 @@ class EstimateReport:
 
 
 def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
-    """Spot-check additivity and homogeneity on three random Gaussian probes."""
+    """Spot-check additivity and homogeneity of apply_batch, the callable the
+    estimator evaluates, on three random Gaussian probes."""
     stream = GaussianStream(spec.offset(CHUNK_OFFSET_PROBES))
     for k in range(3):
         u = gaussian_vector(stream, op.dim)
@@ -227,9 +216,9 @@ def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
         g = stream.gaussians(4)
         alpha = complex(g[0], g[1])
         beta = complex(g[2], g[3])
-        au = alpha * op.apply(u)
-        bv = beta * op.apply(v)
-        lhs = op.apply(alpha * u + beta * v)
+        image_u, image_v, lhs = op.apply_batch(np.stack([u, v, alpha * u + beta * v]))
+        au = alpha * image_u
+        bv = beta * image_v
         scale = 1.0 + float(np.linalg.norm(au)) + float(np.linalg.norm(bv))
         gap = float(np.linalg.norm(lhs - (au + bv)))
         if gap > 1e-10 * scale:
@@ -317,54 +306,32 @@ def estimate_matrix_trace(
         ci_radius=report.ci_radius * n,
         exact=report.exact * n,
     )
-    if not np.isfinite([raw_report.mean, raw_report.stderr, raw_report.ci_radius,
-                        raw_report.exact]).all():
+    if not np.isfinite([raw_report.mean, raw_report.stderr, raw_report.exact]).all():
         raise ValueError("raw trace overflows float64; rescale the matrix")
+    if not math.isfinite(raw_report.ci_radius):  # z * stderr was finite, n times it is not
+        raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
     return raw_report
-
-
-def _unitary_pair(a, b):
-    """(A, B, ||B* B - I||_F) for same-size A and unitary B, or ValueError:
-    above 1e-10, x = B* z is no change of variables."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if bm.shape != am.shape:
-        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge B gives inf or nan: both fail
-        ures = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
-    if not ures <= 1e-10:
-        raise ValueError(f"b is not unitary: ||B*B - I||_F = {ures:.3e}")
-    return am, bm, ures
-
-
-def substitution_identity_check(a, b, z):
-    """Evaluate both sides of the change of variables x = B* z.
-
-    For unitary B the substitution turns <A B x, x> at x = B* z into
-    <B A z, z>, sample by sample.  Returns (lhs, rhs, gap) where
-    lhs = <A B x, x>, rhs = <B A z, z> and gap = |lhs - rhs|.  Raises
-    ValueError when ||B* B - I||_F exceeds 1e-10, since the identity
-    has no reason to hold for non-unitary B.
-    """
-    am, bm, _ = _unitary_pair(a, b)
-    zv = as_vector(z, "z")
-    if zv.shape[0] != am.shape[0]:
-        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, z is {zv.shape[0]}")
-    x = np.conj(bm).T @ zv
-    lhs = inner(am @ (bm @ x), x)
-    rhs = inner(bm @ (am @ zv), zv)
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, float]:
     """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
 
-    The draws are those of sample_unit_vectors_chunked(spec, n, n_samples),
-    evaluated in row blocks on the thread pool of `sphere.map_chunks`, so
-    no chunk of draws is held.  Returns (max_gap, ||B* B - I||_F); raises
-    ValueError, as substitution_identity_check does, when B is not unitary.
+    For unitary B the change of variables x = B* z turns <A B x, x> into
+    <B A z, z> draw by draw, so the gap is rounding alone.  The draws are
+    those of sample_unit_vectors_chunked(spec, n, n_samples), evaluated in
+    row blocks on the thread pool of `sphere.map_chunks`, so no chunk of
+    draws is held.  Returns (max_gap, ||B* B - I||_F); raises ValueError
+    when that residual exceeds 1e-10, since then x = B* z is no change of
+    variables.
     """
-    am, bm, unitarity = _unitary_pair(a, b)
+    am = as_matrix(a, "a")
+    bm = as_matrix(b, "b")
+    if bm.shape != am.shape:
+        raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge B gives inf or nan: both fail
+        unitarity = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
+    if not unitarity <= 1e-10:
+        raise ValueError(f"b is not unitary: ||B*B - I||_F = {unitarity:.3e}")
     b_conj = np.conj(bm)
     with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
         ab_t = (am @ bm).T

@@ -19,28 +19,11 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "as_vector",
     "frobenius_norm",
     "hermitian_eigh",
     "matrix_unit",
     "normalized_trace",
 ]
-
-
-def _as_complex(a, name: str, ndim: int) -> np.ndarray:
-    m = np.asarray(a)
-    if m.dtype == object:
-        raise ValueError(f"{name} has non-numeric entries")
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    if m.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {m.shape}")
-    if ndim == 2 and m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError(f"{name} has non-finite entries")
-    return m
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -49,12 +32,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     Accepts any array_like of numbers.  Raises ValueError for wrong
     dimensionality, non-square shape, empty size, or non-finite entries.
     """
-    return _as_complex(a, name, 2)
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-d complex128 vector with finite entries."""
-    return _as_complex(v, name, 1)
+    m = np.asarray(a)
+    if m.dtype == object:
+        raise ValueError(f"{name} has non-numeric entries")
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError(f"{name} must have dimension >= 1")
+    if not np.all(np.isfinite(m.view(np.float64))):
+        raise ValueError(f"{name} has non-finite entries")
+    return m
 
 
 def frobenius_norm(a) -> float:

@@ -71,17 +71,6 @@ class UnitaryDecomposition:
         return out
 
 
-def _residuals(a: np.ndarray, coeffs, units) -> Tuple[float, float]:
-    n = a.shape[0]
-    total = np.zeros_like(a)
-    eye = np.eye(n)
-    ures = 0.0
-    for c, u in zip(coeffs, units):
-        total += c * u
-        ures = max(ures, float(np.linalg.norm(np.conj(u).T @ u - eye)))
-    return frobenius_norm(total - a), ures
-
-
 def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     """Write a square matrix as a sum of at most four weighted unitaries.
 
@@ -116,7 +105,11 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
         rephased = [rephase_to_det_one(u, c) for c, u in zip(coeffs, units)]
         units = [u for u, _ in rephased]
         coeffs = [c for _, c in rephased]
-    return UnitaryDecomposition(n, coeffs, units, *_residuals(m, coeffs, units))
+    dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0)
+    dec.reconstruction_residual = frobenius_norm(dec.reconstruct() - m)
+    eye = np.eye(n)
+    dec.unitarity_residual = max(float(np.linalg.norm(np.conj(u).T @ u - eye)) for u in units)
+    return dec
 
 
 def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from tracekit.cli import main
 from tracekit.estimator import (
     LinearOperator,
     estimate_trace,
-    substitution_identity_check,
+    substitution_identity_sweep,
 )
 from tracekit.formats import (
     parse_json_dense,
@@ -106,8 +106,8 @@ def test_criterion_4_substitution_identity_on_random_triples():
         n = 2 + trial % 7
         a = crandn(rng, n, n)
         b = random_unitary_via_decomposition(rng, n)
-        z = sample_unit_vectors_chunked(StreamSpec(4400 + trial, 0), n, 1)[0]
-        _, _, gap = substitution_identity_check(a, b, z)
+        # one draw: row 0 of sample_unit_vectors_chunked(StreamSpec(4400 + trial, 0), n, 1)
+        gap, _ = substitution_identity_sweep(a, b, 1, StreamSpec(4400 + trial, 0))
         bound = 1e-10 * (1.0 + np.linalg.norm(a))
         assert gap <= bound
         worst = max(worst, gap / bound)

@@ -206,17 +206,21 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err == "error: raw trace overflows float64; rescale the matrix\n"
 
-    @pytest.mark.parametrize("flags", [(), ("--no-check",)], ids=["gate", "no-check"])
-    def test_overflowing_ci_radius_names_z(self, capsys, tmp_path, flags):
+    @pytest.mark.parametrize("z, flags", [
+        ("1e308", ()),
+        ("1e308", ("--no-check",)),
+        ("1.5e307", ("--raw",)),  # z * stderr is finite; n = 2 times it is not
+    ], ids=["gate", "no-check", "raw"])
+    def test_overflowing_ci_radius_names_z(self, capsys, tmp_path, z, flags):
         # the mean and stderr (~100) are finite; z * stderr at z = 1e308 is not
         path = tmp_path / "a.mm"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n100\n0\n0\n-100\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "estimate", str(path), "--samples", "50",
-                                 "--z", "1e308", *flags)
+                                 "--z", z, *flags)
         assert code == 1 and out == ""
-        assert err == "error: ci_radius = z * stderr is not finite at z = 1e+308; lower z\n"
+        assert err == f"error: ci_radius = z * stderr is not finite at z = {float(z):g}; lower z\n"
 
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion against the current API."""
+"""Every script in demos/ runs to completion against the current API, without a warning."""
 
 import os
 import subprocess
@@ -17,6 +17,6 @@ def test_demo_exits_zero(demo):
     src = str(Path(tracekit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr

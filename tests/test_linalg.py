@@ -12,7 +12,6 @@ import pytest
 
 from tracekit.linalg import (
     as_matrix,
-    as_vector,
     frobenius_norm,
     hermitian_eigh,
     matrix_unit,
@@ -62,19 +61,6 @@ class TestValidation:
     def test_as_matrix_rejects_nonnumeric(self):
         with pytest.raises(ValueError):
             as_matrix([[object(), object()], [object(), object()]])
-
-    def test_as_vector_basic(self):
-        v = as_vector([1, 2j])
-        assert v.dtype == np.complex128
-        assert v[1] == 2j
-
-    def test_as_vector_rejects(self):
-        with pytest.raises(ValueError):
-            as_vector([[1, 2]])
-        with pytest.raises(ValueError):
-            as_vector([])
-        with pytest.raises(ValueError):
-            as_vector([np.nan])
 
 
 def test_frobenius_norm_matches_numpy():
