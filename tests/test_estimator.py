@@ -9,6 +9,7 @@ import pytest
 from tracekit import sphere
 from tracekit.estimator import (
     _rayleigh_values,
+    _split_sums,
     EstimateReport,
     LinearOperator,
     RunningStats,
@@ -59,6 +60,36 @@ def peak_of_two_threads(monkeypatch, run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestInner:
+    """<u, v> = sum u conj(v), as _split_sums accumulates it in real arithmetic."""
+
+    @staticmethod
+    def inner(u, v):
+        re, im, _ = _split_sums(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+        return complex(re, im)
+
+    def test_hand_value(self):
+        # (1+2j) * conj(3-1j) = (1+2j)(3+1j) = 1 + 7j
+        assert self.inner([1 + 2j], [3 - 1j]) == pytest.approx(1 + 7j, abs=1e-15)
+
+    def test_matches_vdot_oracle(self):
+        rng = np.random.default_rng(200)
+        for n in (1, 4, 9):
+            u = crandn(rng, n)
+            v = crandn(rng, n)
+            # numpy's vdot conjugates its first argument
+            assert self.inner(u, v) == pytest.approx(np.vdot(v, u), rel=1e-14)
+
+    def test_slot_linearity(self):
+        rng = np.random.default_rng(201)
+        u, v = crandn(rng, 5), crandn(rng, 5)
+        c = 2.0 - 3.0j
+        assert self.inner(c * u, v) == pytest.approx(c * self.inner(u, v), rel=1e-13)
+        assert self.inner(u, c * v) == pytest.approx(
+            np.conj(c) * self.inner(u, v), rel=1e-13
+        )
 
 
 class TestNumericalValue:
@@ -335,15 +366,53 @@ class TestEstimateTrace:
         assert rep.abs_error() == 0.0
 
 
+class TestSubstitutionIdentity:
+    """The sweep at one draw: the draw is sample_unit_vectors(GaussianStream(spec), n, 1)[0]."""
+
+    def test_identity_b_is_exact(self):
+        rng = np.random.default_rng(214)
+        a = crandn(rng, 4, 4)
+        gap, unitarity = substitution_identity_sweep(a, np.eye(4), 1, StreamSpec(6, 0))
+        assert gap == 0.0
+        assert unitarity == 0.0
+
+    def test_diagonal_phase_unitary(self):
+        rng = np.random.default_rng(215)
+        a = crandn(rng, 2, 2)
+        b = np.diag([1j, -1j])
+        gap, _ = substitution_identity_sweep(a, b, 1, StreamSpec(7, 0))
+        assert gap <= 1e-12
+
+    def test_random_unitaries_within_contract(self):
+        rng = np.random.default_rng(216)
+        for n in (2, 5, 8):
+            a = crandn(rng, n, n)
+            q, _ = np.linalg.qr(crandn(rng, n, n))
+            gap, _ = substitution_identity_sweep(a, q, 1, StreamSpec(n, 0))
+            assert gap <= 1e-10 * (1.0 + np.linalg.norm(a))
+
+    def test_rejects_non_unitary(self):
+        # a huge B whose B*B overflows to nan is no unitary either
+        huge = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (matrix_unit(0, 0, 2), huge):
+                with pytest.raises(ValueError, match="not unitary"):
+                    substitution_identity_sweep(np.eye(2), b, 1, StreamSpec(0, 0))
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            substitution_identity_sweep(np.eye(2), np.eye(3), 1, StreamSpec(0, 0))
+
+
 class TestSubstitutionSweep:
     def test_matches_batched_evaluation(self):
         # the chunked sweep reproduces the gaps of one (samples, n) batch;
         # bit-identity would also need BLAS rows independent of block height
-        # B = diag(i, -i) is a diagonal phase unitary
         rng = np.random.default_rng(218)
-        for n, samples in ((3, 5000), (8, 9000), (2, 300)):
+        for n, samples in ((3, 5000), (8, 9000)):
             a = crandn(rng, n, n)
-            b = np.diag([1j, -1j]) if n == 2 else np.linalg.qr(crandn(rng, n, n))[0]
+            b, _ = np.linalg.qr(crandn(rng, n, n))
             z = sample_unit_vectors_chunked(StreamSpec(19, 0), n, samples)
             x = z @ np.conj(b)
             lhs = np.sum((x @ (a @ b).T) * np.conj(x), axis=1)
@@ -390,13 +459,8 @@ class TestSubstitutionSweep:
                 substitution_identity_sweep(a, np.eye(2), 64, StreamSpec(0, 0))
 
     def test_rejects_non_unitary_and_mismatch(self):
-        # a huge B whose B*B overflows to nan is no unitary either
-        huge = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for b in (2.0 * np.eye(2), huge):
-                with pytest.raises(ValueError, match="not unitary"):
-                    substitution_identity_sweep(np.eye(2), b, 10, StreamSpec(0, 0))
+        with pytest.raises(ValueError, match="not unitary"):
+            substitution_identity_sweep(np.eye(2), 2.0 * np.eye(2), 10, StreamSpec(0, 0))
         with pytest.raises(ValueError, match="mismatch"):
             substitution_identity_sweep(np.eye(2), np.eye(3), 10, StreamSpec(0, 0))
 
