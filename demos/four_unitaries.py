@@ -37,7 +37,8 @@ for k, (c, u) in enumerate(zip(dec.coefficients, dec.unitaries)):
     u1, c1 = rephase_to_det_one(u, c)
     print(f"term {k}: coefficient {c1:+.6f}   det = {determinant(u1):+.12f}")
 
-# a Hermitian contraction is the cleanest case: two terms, both 1/2
+# a Hermitian contraction is the cleanest case: two terms, both ||H|| / 2
 h = np.array([[0.0, 0.6], [0.6, 0.0]])
 small = decompose_into_unitaries(h)
-print(f"\nHermitian contraction: coefficients {small.coefficients}")
+print(f"\nHermitian contraction: coefficients {small.coefficients}, "
+      f"||H|| / 2 = {np.linalg.norm(h, 2) / 2:.6f}")

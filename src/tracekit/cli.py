@@ -26,7 +26,7 @@ from .formats import (
     write_json_dense,
     write_report_json,
 )
-from .linalg import as_matrix, frobenius_norm
+from .linalg import as_matrix
 from .sphere import CHUNK_OFFSET_PROBES, StreamSpec, sample_unit_vectors_chunked
 from .uniqueness import solve_unique_functional
 from .unitary import decompose_into_unitaries, determinant, seeded_unitary
@@ -71,9 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=_positive_int, default=100000,
                          help="number of sphere draws (default 100000)")
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--tolerance", type=_positive_float, default=1e-10,
-                           help="residual tolerance for the pass/fail gate (default 1e-10)")
 
     parser = argparse.ArgumentParser(
         prog="tracekit",
@@ -91,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="always exit 0, skip the exact-value gate")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("decompose", parents=[base, matrix, tolerance],
+    p = sub.add_parser("decompose", parents=[base, matrix],
                        help="write a matrix as a sum of at most four unitaries")
     p.add_argument("--det-one", action="store_true",
                    help="rephase every unitary to determinant 1")
@@ -103,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="matrix dimension n")
     p.set_defaults(func=cmd_uniqueness)
 
-    p = sub.add_parser("check-invariance", parents=[base, matrix, samples, tolerance],
+    p = sub.add_parser("check-invariance", parents=[base, matrix, samples],
                        help="verify the unitary change of variables on random draws")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--unitary", metavar="PATH",
@@ -140,20 +137,15 @@ def cmd_estimate(args) -> int:
     report = estimate_matrix_trace(
         a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw
     )
-    # rounding in the mean alone reaches ~eps * n * ||A||_F (times n for the
-    # raw trace), which a near-constant spectrum's stderr can undercut
-    n = a.shape[0]
-    floor = np.finfo(np.float64).eps * n * frobenius_norm(a) * (n if args.raw else 1)
     _emit(write_report_json(report), args)
     if args.no_check:
         return 0
-    return 0 if report.abs_error() <= max(args.z * report.stderr, floor) else 2
+    return 0 if report.abs_error() <= max(report.ci_radius, report.rounding_floor) else 2
 
 
 def cmd_decompose(args) -> int:
     a = _load_matrix(args.matrix, args.format)
     dec = decompose_into_unitaries(a, det_one=args.det_one)
-    scale = max(1.0, frobenius_norm(a))
     doc = {
         "n": dec.dim,
         "terms": [
@@ -168,8 +160,8 @@ def cmd_decompose(args) -> int:
         "unitarity_residual": dec.unitarity_residual,
     }
     _emit(dumps(doc) + "\n", args)
-    ok = (dec.reconstruction_residual <= args.tolerance * scale
-          and dec.unitarity_residual <= args.tolerance * dec.dim)
+    ok = (dec.reconstruction_residual <= dec.reconstruction_bound
+          and dec.unitarity_residual <= dec.unitarity_bound)
     return 0 if ok else 2
 
 
@@ -193,10 +185,9 @@ def cmd_check_invariance(args) -> int:
         b = seeded_unitary(StreamSpec(args.seed, CHUNK_OFFSET_PROBES), a.shape[0])
     else:
         b = _load_matrix(args.unitary, args.format)
-    max_gap, unitarity = substitution_identity_sweep(
+    max_gap, unitarity, bound = substitution_identity_sweep(
         a, b, args.samples, StreamSpec(args.seed, 0)
     )
-    bound = args.tolerance * (1.0 + frobenius_norm(a))
     doc = {
         "n": a.shape[0],
         "samples": args.samples,

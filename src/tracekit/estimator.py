@@ -21,8 +21,8 @@ Conventions fixed here and relied on everywhere else:
   on a thread pool; each chunk's statistics are merged in chunk order, so
   reports are bitwise reproducible for a fixed (seed, n_samples)
   regardless of the pool's thread count (the CPU affinity).  The BLAS
-  library's own thread count can change the last bits of the operator
-  apply, and so of a report, from about n = 130.
+  kernel, at any n, and the BLAS thread count, from about n = 130, can
+  change the last bits of the operator apply, and so of a report.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, normalized_trace
+from .linalg import _rounding_bound, as_matrix, frobenius_norm, normalized_trace
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
@@ -199,6 +199,7 @@ class EstimateReport:
     ci_radius: float
     spec: StreamSpec
     exact: Optional[complex] = None
+    rounding_floor: float = 0.0  # the most rounding can make of abs_error()
 
     def abs_error(self) -> Optional[float]:
         if self.exact is None:
@@ -236,8 +237,8 @@ def estimate_trace(
     Draws follow the chunk layout of map_chunks at `spec`, and chunk
     statistics are merged left to right, so the report depends only on
     (spec, n_samples) and is bitwise identical for any number of pool
-    threads; the BLAS library's thread count can change its last bits
-    from about n = 130.  The confidence radius is z * stderr.
+    threads; the BLAS kernel and thread count can change its last bits.
+    The confidence radius is z * stderr.
 
     Unless the operator is marked assume_linear, three random probes
     verify linearity first; a failed probe raises ValueError.  A
@@ -286,9 +287,11 @@ def estimate_matrix_trace(
 ) -> EstimateReport:
     """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
 
-    raw=True reports the trace tr(A) itself: mean, stderr, ci_radius and
-    exact are all multiplied by n.  A non-finite sample value, or a raw
-    value that overflows, raises ValueError: the entries are finite.
+    Its rounding floor is gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta,
+    derived in README.  raw=True reports the trace tr(A) itself: mean,
+    stderr, ci_radius, exact and the floor are all multiplied by n.  A
+    non-finite sample value, or a raw value that overflows, raises
+    ValueError: the entries are finite.
     """
     m = as_matrix(a)
     try:
@@ -296,15 +299,17 @@ def estimate_matrix_trace(
     except FloatingPointError as exc:
         raise ValueError(f"{exc}: float64 overflow; rescale the matrix") from None
     report.exact = normalized_trace(m)
+    n = m.shape[0]
+    report.rounding_floor = _rounding_bound(2 * n, frobenius_norm(m), 8 * n * n + n_samples)
     if not raw:
         return report
-    n = m.shape[0]
     raw_report = replace(
         report,
         mean=report.mean * n,
         stderr=report.stderr * n,
         ci_radius=report.ci_radius * n,
         exact=report.exact * n,
+        rounding_floor=report.rounding_floor * n,
     )
     if not np.isfinite([raw_report.mean, raw_report.stderr, raw_report.exact]).all():
         raise ValueError("raw trace overflows float64; rescale the matrix")
@@ -313,16 +318,17 @@ def estimate_matrix_trace(
     return raw_report
 
 
-def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, float]:
+def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, ...]:
     """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
 
     For unitary B the change of variables x = B* z turns <A B x, x> into
     <B A z, z> draw by draw, so the gap is rounding alone.  The draws are
     those of sample_unit_vectors_chunked(spec, n, n_samples), evaluated in
     row blocks on the thread pool of `sphere.map_chunks`, so no chunk of
-    draws is held.  Returns (max_gap, ||B* B - I||_F); raises ValueError
-    when that residual exceeds 1e-10, since then x = B* z is no change of
-    variables.
+    draws is held.  Returns (max_gap, rho, bound) with rho = ||B* B - I||_F;
+    raises ValueError when rho exceeds 1e-10, since then x = B* z is no
+    change of variables.  The bound on each gap, derived in README, is
+    (16 sqrt(n) gamma_{3n+2} + 2 n gamma_{2n} + rho) ||A||_F + 9 n^2 eta.
     """
     am = as_matrix(a, "a")
     bm = as_matrix(b, "b")
@@ -344,12 +350,16 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
         rhs = np.sum((z @ ba_t) * np.conj(z), axis=1)
         return np.abs(lhs - rhs)
 
+    n = am.shape[0]
     max_gap = 0.0
-    for _, chunk in map_chunks(gaps, spec, am.shape[0], n_samples):
+    for _, chunk in map_chunks(gaps, spec, n, n_samples):
         max_gap = np.maximum(max_gap, np.max(chunk))  # keeps a NaN
     if not np.isfinite(max_gap):  # A and B are finite: only an overflow does this
         raise ValueError("substitution identity overflows float64; rescale the matrix")
-    return float(max_gap), unitarity
+    norm = frobenius_norm(am)
+    k = 16 * n**0.5 * (3 * n + 2) + 4 * n * n  # as c gamma_k <= gamma_{ck}
+    bound = _rounding_bound(k, norm, 9 * n * n) + unitarity * norm
+    return float(max_gap), unitarity, bound
 
 
 def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec):

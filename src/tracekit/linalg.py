@@ -59,6 +59,13 @@ def frobenius_norm(a) -> float:
         raise ValueError("Frobenius norm overflows float64; rescale the matrix") from None
 
 
+def _rounding_bound(k: float, scale: float, ops: float) -> float:
+    """gamma_k * scale + ops * eta (u = 2**-53, gamma_k = k u / (1 - k u), eta = 2**-1074):
+    the standard model's bound for k roundings of `scale` and `ops` underflows (README)."""
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku) * scale + ops * 2.0**-1074
+
+
 def normalized_trace(a) -> complex:
     """Sum of the diagonal divided by the dimension.
 

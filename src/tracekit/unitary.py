@@ -5,7 +5,7 @@ U = H - i (I - H^2)^(1/2) unitary: in an eigenbasis each eigenvalue
 lambda in [-1, 1] becomes lambda - i sqrt(1 - lambda^2), a point on the
 unit circle whose real part is lambda.  An arbitrary A = H1 + i H2 with
 Hermitian parts H1, H2 then needs at most four unitaries, two per part,
-each from one eigensolve of its part H, with phases of w / max(||H||, 1).
+each from one eigensolve of its part H, with phases of w / ||H||.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, hermitian_eigh
+from .linalg import _rounding_bound, as_matrix, frobenius_norm, hermitian_eigh
 from .sphere import GaussianStream, StreamSpec, gaussian_matrix
 
 __all__ = [
@@ -55,7 +55,8 @@ class UnitaryDecomposition:
     """A = sum_m coefficients[m] * unitaries[m], with certified residuals.
 
     reconstruction_residual is ||sum - A||_F; unitarity_residual is the
-    largest ||U* U - I||_F over the terms.
+    largest ||U* U - I||_F over the terms.  Each bound is the most rounding
+    alone can make of its residual.
     """
 
     dim: int
@@ -63,6 +64,8 @@ class UnitaryDecomposition:
     unitaries: List[np.ndarray]
     reconstruction_residual: float
     unitarity_residual: float
+    reconstruction_bound: float
+    unitarity_bound: float
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -76,12 +79,13 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
 
     Each Hermitian part H = Q diag(w) Q* is solved once.  Its operator
     norm h = max |w| gives the two terms (h/2) U and (h/2) U*, with U
-    formed from Q and w / max(h, 1), the eigenvalues of the contraction
-    H / max(h, 1); a Hermitian contraction is not scaled and comes back
-    as exactly 0.5 U + 0.5 U*.  Parts with h = 0 contribute nothing;
-    the zero matrix yields the single term 0 * I.  With det_one=True
-    every term is passed through rephase_to_det_one, and the residuals
-    are those of the rephased terms.
+    formed from Q and w / h, the eigenvalues of the contraction H / h.
+    Parts with h = 0 contribute nothing; the zero matrix yields the
+    single term 0 * I.  With det_one=True every term is passed through
+    rephase_to_det_one, and the residuals are those of the rephased terms.
+    The bounds, derived in README, are gamma_{3 p(n) + 18 sqrt(n) + 4} ||A||_F
+    + 20 n eta and gamma_{5 p(n) + 8 sqrt(n)}, with p(n) = 64 n for LAPACK's
+    unspecified p(n) u (eigh's backward error and loss of orthogonality).
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -93,9 +97,8 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
         norm = float(max(abs(w[0]), abs(w[-1])))
         if norm == 0.0:
             continue
-        scale = max(norm, 1.0)
-        u = _phase_unitary(w / scale, q)
-        half = front * (scale / 2.0)
+        u = _phase_unitary(w / norm, q)
+        half = front * (norm / 2.0)
         coeffs.extend([half, half])
         units.extend([u, np.ascontiguousarray(np.conj(u).T)])
     if not coeffs:
@@ -105,7 +108,10 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
         rephased = [rephase_to_det_one(u, c) for c, u in zip(coeffs, units)]
         units = [u for u, _ in rephased]
         coeffs = [c for _, c in rephased]
-    dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0)
+    p, root = 64 * n, n**0.5
+    bounds = (_rounding_bound(3 * p + 18 * root + 4, frobenius_norm(m), 20 * n),
+              _rounding_bound(5 * p + 8 * root, 1.0, 0))
+    dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0, *bounds)
     dec.reconstruction_residual = frobenius_norm(dec.reconstruct() - m)
     eye = np.eye(n)
     dec.unitarity_residual = max(float(np.linalg.norm(np.conj(u).T @ u - eye)) for u in units)
@@ -115,7 +121,7 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
 def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
     """A random n x n unitary from the substream at `spec`: the first term of
     the decomposition of H, the Hermitian part of gaussian_matrix; one solve
-    of H gives its eigenvalues w, and the phases come from w / max(||H||, 1)."""
+    of H gives its eigenvalues w, and the phases come from w / ||H||."""
     h = hermitian_parts(gaussian_matrix(GaussianStream(spec), n))[0]
     return decompose_into_unitaries(h).unitaries[0]
 

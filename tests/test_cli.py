@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tracekit
+from tracekit import cli
 from tracekit.cli import main
 from tracekit.formats import (
     complex_pair,
@@ -21,7 +22,7 @@ from tracekit.formats import (
     write_json_dense,
     write_matrix_market,
 )
-from tracekit.linalg import matrix_unit
+from tracekit.linalg import hermitian_eigh, matrix_unit
 from tracekit.uniqueness import _MAX_DIM
 from tracekit.unitary import decompose_into_unitaries, determinant
 
@@ -268,6 +269,7 @@ class TestDecompose:
         assert doc["terms"][0]["coefficient"] == [0.0, 0.0]
 
     def test_hermitian_contraction_half_coefficients(self, capsys, tmp_path):
+        # two terms of half the operator norm, here about 1/4
         rng = np.random.default_rng(601)
         g = crandn(rng, 4, 4)
         h = (g + g.conj().T) / 2
@@ -277,7 +279,9 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         doc = json.loads(out)
-        assert [t["coefficient"] for t in doc["terms"]] == [[0.5, 0.0], [0.5, 0.0]]
+        w = hermitian_eigh(parse_matrix_market(path.read_text()))[0]
+        half = max(abs(w[0]), abs(w[-1])) / 2.0
+        assert [t["coefficient"] for t in doc["terms"]] == [[half, 0.0], [half, 0.0]]
 
     @pytest.mark.parametrize("kind", ["general", "hermitian", "det-one"])
     def test_output_bytes_match_the_list_path(self, capsys, tmp_path, kind):
@@ -424,6 +428,65 @@ class TestUniqueness:
         assert first == second
 
 
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_subnormal_matrix_exits_0(capsys, tmp_path, argv):
+    # every entry is 2**-1074, so rounding alone moves a result by whole
+    # units of it; the gates must allow that
+    path = tmp_path / "a.mm"
+    path.write_text(write_matrix_market(np.full((3, 3), 5e-324)))
+    samples = [] if argv[0] == "decompose" else ["--samples", "16"]
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], *samples)
+    assert code == 0 and err == "", out
+
+
+@pytest.mark.parametrize("norm", [5e-12, 1e12])
+@pytest.mark.parametrize("gate", ["reconstruction", "unitarity", "invariance"])
+def test_gate_fails_at_100_times_its_bound(capsys, tmp_path, monkeypatch, gate, norm):
+    # the library's result is perturbed until its residual is 100 times the
+    # bound it reports, an error still a billionth of ||A||_F
+    a = crandn(np.random.default_rng(603), 6, 6)
+    a *= norm / np.linalg.norm(a)
+    path = tmp_path / "a.mm"
+    path.write_text(write_matrix_market(a))
+    fed = []
+    if gate == "invariance":
+        sweep = cli.substitution_identity_sweep
+
+        def feed(*args):
+            _, unitarity, bound = sweep(*args)
+            fed.append((100 * bound, bound))
+            return 100 * bound, unitarity, bound
+
+        monkeypatch.setattr(cli, "substitution_identity_sweep", feed)
+        argv = ["check-invariance", str(path), "--random-unitary", "--samples", "64"]
+    else:
+        decompose = cli.decompose_into_unitaries
+
+        def feed(m, **kwargs):
+            dec = decompose(m, **kwargs)
+            root_n = np.sqrt(dec.dim)  # ||U||_F of every term
+            if gate == "reconstruction":
+                dec.coefficients[0] += 100 * dec.reconstruction_bound / root_n
+            else:  # U*U - I becomes about 2 d I, and c U stays
+                d = 100 * dec.unitarity_bound / (2 * root_n)
+                dec.unitaries[0] = dec.unitaries[0] * (1 + d)
+                dec.coefficients[0] /= 1 + d
+            dec.reconstruction_residual = float(np.linalg.norm(dec.reconstruct() - m))
+            dec.unitarity_residual = max(float(np.linalg.norm(u.conj().T @ u - np.eye(dec.dim)))
+                                         for u in dec.unitaries)
+            fed.append((dec.reconstruction_residual, dec.reconstruction_bound)
+                       if gate == "reconstruction"
+                       else (dec.unitarity_residual, dec.unitarity_bound))
+            return dec
+
+        monkeypatch.setattr(cli, "decompose_into_unitaries", feed)
+        argv = ["decompose", str(path)]
+    code, out, _ = run(capsys, *argv)
+    (residual, bound), = fed
+    assert 50 * bound <= residual <= 1e-9 * (norm if gate != "unitarity" else 1.0)
+    assert code == 2 and json.loads(out)
+
+
 class TestCheckInvariance:
     def test_identity_unitary_zero_gap(self, capsys, random_file, tmp_path):
         upath = tmp_path / "u.mm"
@@ -527,17 +590,19 @@ class TestUsage:
         ("sample", "--dim", "2", "--det-one"),
         ("uniqueness", "--dim", "2", "--z", "1"),
         ("estimate", "A.mm", "--trusted"),
+        ("decompose", "A.mm", "--tolerance", "1e-10"),
+        ("check-invariance", "A.mm", "--random-unitary", "--tolerance", "1e-10"),
     ])
     def test_flag_of_another_subcommand_rejected(self, capsys, argv):
-        assert run(capsys, *argv)[0] == 1
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "unrecognized arguments" in err
 
     def test_help_lists_only_read_flags(self, capsys):
         own = {
             "estimate": {"--format", "--samples", "--z", "--raw", "--no-check"},
-            "decompose": {"--format", "--tolerance", "--det-one"},
+            "decompose": {"--format", "--det-one"},
             "uniqueness": {"--dim"},
-            "check-invariance": {"--format", "--samples", "--tolerance",
-                                 "--unitary", "--random-unitary"},
+            "check-invariance": {"--format", "--samples", "--unitary", "--random-unitary"},
             "sample": {"--dim", "--count"},
         }
         for command, flags in own.items():
@@ -580,3 +645,20 @@ def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False False False False\n"
+
+
+def test_sample_bytes_do_not_depend_on_the_blas_kernel():
+    # the sampler calls no BLAS, so its draws are the same under any
+    # OpenBLAS kernel; estimate and decompose reports are not
+    argv = [sys.executable, "-m", "tracekit.cli", "sample", "--dim", "8", "--count", "5000",
+            "--seed", "3"]
+    outputs = []
+    for coretype in (None, "Haswell"):
+        env = _child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        result = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].startswith(b"[[[")

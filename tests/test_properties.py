@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tracekit.cli import main  # noqa: E402
+from tracekit.estimator import substitution_identity_sweep  # noqa: E402
 from tracekit.formats import (  # noqa: E402
     MatrixMarketError,
     dumps,
@@ -26,6 +27,8 @@ from tracekit.formats import (  # noqa: E402
     parse_json_dense,
     parse_matrix_market,
 )
+from tracekit.sphere import CHUNK_OFFSET_PROBES, StreamSpec  # noqa: E402
+from tracekit.unitary import decompose_into_unitaries, seeded_unitary  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -250,3 +253,23 @@ def test_conjugate_transpose_writes_the_digits_of_its_floats(a, x):
     doc = [a, np.conj(a).T, a]
     assert dumps(doc) == dumps([matrix_pairs(m) for m in doc])
     assert "%.17g" % -x == "-" + "%.17g" % x
+
+
+@SETTINGS
+@given(st.integers(1, 256), st.integers(-300, 300),
+       st.sampled_from(["general", "hermitian", "real"]), st.integers(0, 2**32 - 1))
+def test_gates_pass_correct_output_with_a_tenfold_margin(n, k, kind, seed):
+    # the bounds are ratios to ||A||_F, so they hold at every scale 2**k
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        a = (a + a.conj().T) / 2
+    elif kind == "real":
+        a = a.real.copy()
+    a = a * 2.0**k
+    dec = decompose_into_unitaries(a)
+    assert 10 * dec.reconstruction_residual <= dec.reconstruction_bound
+    assert 10 * dec.unitarity_residual <= dec.unitarity_bound
+    b = seeded_unitary(StreamSpec(seed, CHUNK_OFFSET_PROBES), n)
+    gap, _, bound = substitution_identity_sweep(a, b, 64, StreamSpec(seed, 0))
+    assert 10 * gap <= bound

@@ -73,8 +73,8 @@ class TestHermitianParts:
 
 
 class TestContractionToUnitary:
-    """U = H - i (I - H^2)^(1/2) of a Hermitian contraction H, the first term
-    of its decomposition 0.5 U + 0.5 U*."""
+    """U = C - i (I - C^2)^(1/2) of the contraction C = H / ||H|| of a
+    Hermitian H, the first term of its decomposition (||H|| / 2) (U + U*)."""
 
     def test_identity_stays_identity(self):
         u = decompose_into_unitaries(np.eye(4)).unitaries[0]
@@ -102,8 +102,7 @@ class TestContractionToUnitary:
             h = random_contraction(rng, n)
             u = decompose_into_unitaries(h).unitaries[0]
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n
-            scale = max(1.0, np.linalg.norm(h))
-            assert np.linalg.norm((u + u.conj().T) / 2 - h) <= 1e-10 * scale
+            assert np.linalg.norm((u + u.conj().T) / 2 - h / operator_norm(h)) <= 1e-10 * n
 
     def test_edge_eigenvalue_clamping(self):
         # operator norm can land on 1 + few ulps after scaling; the
@@ -123,10 +122,11 @@ class TestDecompose:
         assert dec.reconstruction_residual == 0.0
 
     def test_hermitian_contraction_two_half_terms(self):
+        # a contraction is scaled by its own norm like any other part
         rng = np.random.default_rng(305)
         h = random_contraction(rng, 5)
         dec = decompose_into_unitaries(h)
-        assert dec.coefficients == [0.5 + 0j, 0.5 + 0j]
+        assert dec.coefficients == [operator_norm(h) / 2.0 + 0j] * 2
         assert np.array_equal(dec.unitaries[1], dec.unitaries[0].conj().T)
 
     def test_skew_part_coefficients_imaginary(self):
@@ -193,9 +193,17 @@ class TestDecompose:
         dec = decompose_into_unitaries(a)
         expected = []
         for part, front in zip(hermitian_parts(a), (1.0 + 0j, 1j)):
-            half = front * max(operator_norm(part), 1.0) / 2.0
+            half = front * operator_norm(part) / 2.0
             expected += [half, half]
         assert dec.coefficients == expected
+
+    def test_tiny_matrix_reconstructs_within_its_bound(self):
+        # each part is scaled by its own norm: scaled by 1 instead, a part far
+        # below norm 1 is lost in the rounding of its terms of norm 1
+        a = crandn(np.random.default_rng(313), 8, 8) * 2.0**-300
+        dec = decompose_into_unitaries(a)
+        assert dec.reconstruction_residual <= dec.reconstruction_bound
+        assert dec.reconstruction_bound <= 1e-12 * np.linalg.norm(a)
 
     def test_contraction_parts_map_bitwise(self):
         rng = np.random.default_rng(311)
