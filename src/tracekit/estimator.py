@@ -290,8 +290,8 @@ def estimate_matrix_trace(
     Its rounding floor is gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta,
     derived in README.  raw=True reports the trace tr(A) itself: mean,
     stderr, ci_radius, exact and the floor are all multiplied by n.  A
-    non-finite sample value, or a raw value that overflows, raises
-    ValueError: the entries are finite.
+    non-finite sample value, or a raw value or ||A||_F that overflows,
+    raises ValueError: the entries are finite.
     """
     m = as_matrix(a)
     try:
@@ -326,8 +326,8 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     those of sample_unit_vectors_chunked(spec, n, n_samples), evaluated in
     row blocks on the thread pool of `sphere.map_chunks`, so no chunk of
     draws is held.  Returns (max_gap, rho, bound) with rho = ||B* B - I||_F;
-    raises ValueError when rho exceeds 1e-10, since then x = B* z is no
-    change of variables.  The bound on each gap, derived in README, is
+    raises ValueError when rho exceeds 1e-10 (x = B* z is then no change of
+    variables) or ||A||_F overflows.  The bound on each gap, from README, is
     (16 sqrt(n) gamma_{3n+2} + 2 n gamma_{2n} + rho) ||A||_F + 9 n^2 eta.
     """
     am = as_matrix(a, "a")

@@ -62,6 +62,10 @@ def peak_of_two_threads(monkeypatch, run) -> int:
         tracemalloc.stop()
 
 
+# finite values <A x, x> and gaps, but ||A||_F = 2.1e308 overflows
+OFF_DIAGONAL_HUGE = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+
+
 class TestInner:
     """<u, v> = sum u conj(v), as _split_sums accumulates it in real arithmetic."""
 
@@ -458,6 +462,9 @@ class TestSubstitutionSweep:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="rescale the matrix"):
                 substitution_identity_sweep(a, np.eye(2), 64, StreamSpec(0, 0))
+            # the gap is finite, but the bound needs ||A||_F = 2.1e308
+            with pytest.raises(ValueError, match="Frobenius norm overflows float64"):
+                substitution_identity_sweep(OFF_DIAGONAL_HUGE, np.eye(2), 1, StreamSpec(0, 0))
 
     def test_rejects_non_unitary_and_mismatch(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -482,6 +489,7 @@ class TestEstimateMatrixTrace:
     @pytest.mark.parametrize("a, samples", [
         (np.full((2, 2), 1e308), 16),  # some <A x, x> reach 2e308
         (np.diag([1e160, -1e160]), 16),  # squared deviations reach 1e320
+        (OFF_DIAGONAL_HUGE, 1),  # the value is finite; the floor's ||A||_F is not
     ])
     def test_overflow_asks_to_rescale(self, a, samples):
         with warnings.catch_warnings():

@@ -102,7 +102,8 @@ class TestContractionToUnitary:
             h = random_contraction(rng, n)
             u = decompose_into_unitaries(h).unitaries[0]
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n
-            assert np.linalg.norm((u + u.conj().T) / 2 - h / operator_norm(h)) <= 1e-10 * n
+            c = h / operator_norm(h)
+            assert np.linalg.norm((u + u.conj().T) / 2 - c) <= 1e-10 * max(1.0, np.linalg.norm(c))
 
     def test_edge_eigenvalue_clamping(self):
         # operator norm can land on 1 + few ulps after scaling; the
