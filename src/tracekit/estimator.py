@@ -33,7 +33,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .linalg import _rounding_bound, as_matrix, frobenius_norm, normalized_trace
+from .linalg import (_ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm,
+                     normalized_trace)
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
@@ -218,15 +219,15 @@ def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
         alpha = complex(g[0], g[1])
         beta = complex(g[2], g[3])
         image_u, image_v, lhs = op.apply_batch(np.stack([u, v, alpha * u + beta * v]))
-        au = alpha * image_u
-        bv = beta * image_v
-        scale = 1.0 + float(np.linalg.norm(au)) + float(np.linalg.norm(bv))
-        gap = float(np.linalg.norm(lhs - (au + bv)))
-        if gap > 1e-10 * scale:
-            raise ValueError(
-                f"operator failed linearity probe {k}: residual {gap:.3e} "
-                f"exceeds {1e-10 * scale:.3e}"
-            )
+        # in units of 2**e, so no norm overflows: relative to the images,
+        # plus the underflows of subnormal images (README)
+        s, e = _unit_peak(np.stack([alpha * image_u, beta * image_v, lhs]))
+        gap, nu, nv = (float(np.linalg.norm(x)) for x in (s[2] - (s[0] + s[1]), s[0], s[1]))
+        underflows = (1.0 + abs(alpha) + abs(beta)) * 4 * op.dim**2
+        tol = 1e-10 * (nu + nv) + math.ldexp(underflows, -1074 - e)
+        if gap > tol:
+            raise ValueError(f"operator failed linearity probe {k}: residual {gap:.3e} "
+                             f"exceeds {tol:.3e}, in units of 2**{e}")
 
 
 def estimate_trace(
@@ -287,35 +288,29 @@ def estimate_matrix_trace(
 ) -> EstimateReport:
     """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
 
-    Its rounding floor is gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta,
+    The estimate is of A / 2**e, scaled exactly to unit peak
+    (linalg._unit_peak) so that no sample value overflows, and is scaled
+    back.  Its rounding floor is gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta,
     derived in README.  raw=True reports the trace tr(A) itself: mean,
     stderr, ci_radius, exact and the floor are all multiplied by n.  A
-    non-finite sample value, or a raw value or ||A||_F that overflows,
-    raises ValueError: the entries are finite.
+    reported number beyond float64 raises ValueError.
     """
     m = as_matrix(a)
-    try:
-        report = estimate_trace(LinearOperator.from_matrix(m), n_samples, spec, z=z)
-    except FloatingPointError as exc:
-        raise ValueError(f"{exc}: float64 overflow; rescale the matrix") from None
-    report.exact = normalized_trace(m)
     n = m.shape[0]
-    report.rounding_floor = _rounding_bound(2 * n, frobenius_norm(m), 8 * n * n + n_samples)
-    if not raw:
-        return report
-    raw_report = replace(
-        report,
-        mean=report.mean * n,
-        stderr=report.stderr * n,
-        ci_radius=report.ci_radius * n,
-        exact=report.exact * n,
-        rounding_floor=report.rounding_floor * n,
-    )
-    if not np.isfinite([raw_report.mean, raw_report.stderr, raw_report.exact]).all():
-        raise ValueError("raw trace overflows float64; rescale the matrix")
-    if not math.isfinite(raw_report.ci_radius):  # z * stderr was finite, n times it is not
+    s, e = _unit_peak(m)
+    scaled = estimate_trace(LinearOperator.from_matrix(s), n_samples, spec, z=z)
+    stderr = _ldexp(scaled.stderr, e, "trace estimate").real
+    floor = _rounding_bound(2 * n, frobenius_norm(s), 8 * n * n + n_samples, e)
+    report = replace(scaled, mean=_ldexp(scaled.mean, e, "trace estimate"), stderr=stderr,
+                     ci_radius=z * stderr, exact=normalized_trace(m), rounding_floor=floor)
+    if raw:
+        report = replace(report, mean=report.mean * n, stderr=stderr * n, exact=report.exact * n,
+                         ci_radius=report.ci_radius * n, rounding_floor=floor * n)
+        if not np.isfinite([report.mean, report.stderr, report.exact]).all():
+            raise ValueError("raw trace overflows float64; rescale the matrix")
+    if not math.isfinite(report.ci_radius):
         raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
-    return raw_report
+    return report
 
 
 def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, ...]:
@@ -325,9 +320,11 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     <B A z, z> draw by draw, so the gap is rounding alone.  The draws are
     those of sample_unit_vectors_chunked(spec, n, n_samples), evaluated in
     row blocks on the thread pool of `sphere.map_chunks`, so no chunk of
-    draws is held.  Returns (max_gap, rho, bound) with rho = ||B* B - I||_F;
-    raises ValueError when rho exceeds 1e-10 (x = B* z is then no change of
-    variables) or ||A||_F overflows.  The bound on each gap, from README, is
+    draws is held.  The gaps are of A / 2**e, scaled exactly to unit peak
+    (linalg._unit_peak) so that none overflows, and are scaled back.
+    Returns (max_gap, rho, bound) with rho = ||B* B - I||_F; raises ValueError
+    when rho exceeds 1e-10 (x = B* z is then no change of variables).  The
+    bound on each gap, from README, is
     (16 sqrt(n) gamma_{3n+2} + 2 n gamma_{2n} + rho) ||A||_F + 9 n^2 eta.
     """
     am = as_matrix(a, "a")
@@ -338,12 +335,12 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
         unitarity = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
     if not unitarity <= 1e-10:
         raise ValueError(f"b is not unitary: ||B*B - I||_F = {unitarity:.3e}")
+    s, e = _unit_peak(am)
     b_conj = np.conj(bm)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
-        ab_t = (am @ bm).T
-        ba_t = (bm @ am).T
+    ab_t = (s @ bm).T
+    ba_t = (bm @ s).T
 
-    def gaps(z: np.ndarray) -> np.ndarray:  # inf or nan on overflow
+    def gaps(z: np.ndarray) -> np.ndarray:
         # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
         x = z @ b_conj
         lhs = np.sum((x @ ab_t) * np.conj(x), axis=1)
@@ -353,13 +350,11 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     n = am.shape[0]
     max_gap = 0.0
     for _, chunk in map_chunks(gaps, spec, n, n_samples):
-        max_gap = np.maximum(max_gap, np.max(chunk))  # keeps a NaN
-    if not np.isfinite(max_gap):  # A and B are finite: only an overflow does this
-        raise ValueError("substitution identity overflows float64; rescale the matrix")
-    norm = frobenius_norm(am)
+        max_gap = np.maximum(max_gap, np.max(chunk))
+    norm = frobenius_norm(s)
     k = 16 * n**0.5 * (3 * n + 2) + 4 * n * n  # as c gamma_k <= gamma_{ck}
-    bound = _rounding_bound(k, norm, 9 * n * n) + unitarity * norm
-    return float(max_gap), unitarity, bound
+    bound = _rounding_bound(k, norm, 9 * n * n, e) + math.ldexp(unitarity * norm, e)
+    return math.ldexp(float(max_gap), e), unitarity, bound
 
 
 def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec):

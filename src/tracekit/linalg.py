@@ -14,6 +14,7 @@ residuals, computed from the unitaries it returns.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -47,38 +48,49 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def frobenius_norm(a) -> float:
-    """np.linalg.norm(a / 2**e) * 2**e, 2**e just above the largest |component|:
-    bitwise np.linalg.norm(a) where that neither overflows nor underflows, as
-    both scalings are exact.  Raises ValueError if the norm overflows float64."""
+def _unit_peak(a) -> Tuple[np.ndarray, int]:
+    """(a * 2**-e, e) for a complex array a, with 2**e just above its largest
+    |component|.  The scaling is exact, except that a component below
+    2**-1022 times the largest rounds to a subnormal or 0 (README)."""
     x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    return np.ldexp(x, -e).view(np.complex128), e
+
+
+def _ldexp(z: complex, e: int, what: str) -> complex:
+    """z * 2**e, exact unless it underflows.  Raises ValueError naming `what`
+    if it overflows float64."""
     try:
-        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e).view(np.complex128))), e)
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
     except OverflowError:
-        raise ValueError("Frobenius norm overflows float64; rescale the matrix") from None
+        raise ValueError(f"{what} overflows float64; rescale the matrix") from None
 
 
-def _rounding_bound(k: float, scale: float, ops: float) -> float:
-    """gamma_k * scale + ops * eta (u = 2**-53, gamma_k = k u / (1 - k u), eta = 2**-1074):
-    the standard model's bound for k roundings of `scale` and `ops` underflows (README)."""
+def frobenius_norm(a) -> float:
+    """np.linalg.norm(a / 2**e) * 2**e, with a / 2**e from _unit_peak: bitwise
+    np.linalg.norm(a) where that neither overflows nor underflows, as both
+    scalings are exact.  Raises ValueError if the norm overflows float64."""
+    s, e = _unit_peak(a)
+    return _ldexp(float(np.linalg.norm(s)), e, "Frobenius norm").real
+
+
+def _rounding_bound(k: float, scale: float, ops: float, e: int = 0) -> float:
+    """gamma_k * scale * 2**e + ops * eta (u = 2**-53, gamma_k = k u / (1 - k u),
+    eta = 2**-1074): the standard model's bound for k roundings of `scale`, in
+    units of 2**e, and `ops` underflows (README)."""
     ku = k * 2.0**-53
-    return ku / (1.0 - ku) * scale + ops * 2.0**-1074
+    return math.ldexp(ku / (1.0 - ku) * scale, e) + ops * 2.0**-1074
 
 
 def normalized_trace(a) -> complex:
     """Sum of the diagonal divided by the dimension.
 
     This is the exact quantity the sphere-average estimator targets, and
-    the unique value of the normalized tracial functional at `a`.  Raises
-    ValueError when the trace overflows float64.
+    the unique value of the normalized tracial functional at `a`.  It is
+    taken of a / 2**e (_unit_peak) and scaled back, so it never overflows.
     """
-    m = as_matrix(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(np.trace(m) / m.shape[0])
-    if not np.isfinite(value):
-        raise ValueError("normalized trace overflows float64; rescale the matrix")
-    return value
+    s, e = _unit_peak(as_matrix(a))
+    return _ldexp(complex(np.trace(s) / s.shape[0]), e, "normalized trace")
 
 
 def matrix_unit(i: int, j: int, n: int) -> np.ndarray:
@@ -97,35 +109,24 @@ def matrix_unit(i: int, j: int, n: int) -> np.ndarray:
     return e
 
 
-def _require_hermitian(h: np.ndarray, name: str) -> None:
-    # Both norms are taken of h / max|h_ij|, so neither overflows; the test
-    # is ||h - h*||_F <= 1e-12 * max(1, ||h||_F), divided through by the peak.
-    peak = float(np.abs(h).max())
-    if peak == 0.0:
-        return
-    s = (h.view(np.float64) / peak).view(np.complex128)  # h / peak overflows if peak is tiny
-    asym = float(np.linalg.norm(s - np.conj(s).T))
-    tol = 1e-12 * max(1.0 / peak, float(np.linalg.norm(s)))
-    if asym > tol:
-        raise ValueError(
-            f"{name} is not Hermitian: ||h - h*||_F / max|h_ij| = {asym:.3e} "
-            f"exceeds {tol:.3e}"
-        )
-
-
 def hermitian_eigh(h):
     """Full eigendecomposition of a Hermitian matrix, by LAPACK (numpy.linalg.eigh).
 
-    Returns numpy's (eigenvalues, eigenvectors) pair: real eigenvalues w
+    Returns the (eigenvalues, eigenvectors) pair: real eigenvalues w
     in nondecreasing order and a unitary Q whose column k is the
     eigenvector for w[k] (C-contiguous), so h == Q diag(w) Q*.
-    LAPACK reads one triangle, so the solve is of the exactly Hermitian
-    average h/2 + h*/2 (halved first, so it is finite), which differs from
-    h by no more than the check.
+    The check and the solve are of s = h / 2**e (_unit_peak), and w is
+    scaled back (inf beyond float64).  LAPACK reads one triangle, so the
+    solve is of the exactly Hermitian average (s + s*) / 2, which differs
+    from s by no more than the check.
 
     Raises ValueError if the input fails the Hermitian check
-    ||h - h*||_F <= 1e-12 * max(1, ||h||_F).
+    ||h - h*||_F <= 1e-12 ||h||_F.
     """
-    h0 = as_matrix(h, "hermitian matrix")
-    _require_hermitian(h0, "matrix")
-    return np.linalg.eigh(h0 / 2.0 + np.conj(h0).T / 2.0)
+    s, e = _unit_peak(as_matrix(h, "hermitian matrix"))
+    asym, norm = (float(np.linalg.norm(x)) for x in (s - np.conj(s).T, s))
+    if asym > 1e-12 * norm:
+        raise ValueError(f"matrix is not Hermitian: ||h - h*||_F / ||h||_F = {asym / norm:.3e} "
+                         "exceeds 1e-12")
+    w, q = np.linalg.eigh((s + np.conj(s).T) / 2.0)
+    return np.ldexp(w, e), q

@@ -10,12 +10,13 @@ each from one eigensolve of its part H, with phases of w / ||H||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import _rounding_bound, as_matrix, frobenius_norm, hermitian_eigh
+from .linalg import _ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm, hermitian_eigh
 from .sphere import GaussianStream, StreamSpec, gaussian_matrix
 
 __all__ = [
@@ -33,15 +34,13 @@ def hermitian_parts(a) -> Tuple[np.ndarray, np.ndarray]:
 
     Both parts are Hermitian by construction, exactly so in floating
     point since entries (j, k) and (k, j) are formed from the same two
-    input entries.  Raises ValueError if a part overflows float64.
+    input entries.  They are formed from a / 2**e (linalg._unit_peak) and
+    scaled back, so no component overflows: none exceeds the largest of a.
     """
-    m = as_matrix(a)
-    ms = np.conj(m).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        h1, h2 = (m + ms) / 2.0, (m - ms) / 2j
-    if not (np.isfinite(h1).all() and np.isfinite(h2).all()):
-        raise ValueError("Hermitian parts overflow float64; rescale the matrix")
-    return h1, h2
+    s, e = _unit_peak(as_matrix(a))
+    ss = np.conj(s).T
+    return tuple(np.ldexp(h.view(np.float64), e).view(np.complex128)
+                 for h in ((s + ss) / 2.0, (s - ss) / 2j))
 
 
 def _phase_unitary(w, q) -> np.ndarray:
@@ -86,10 +85,12 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     The bounds, derived in README, are gamma_{3 p(n) + 18 sqrt(n) + 4} ||A||_F
     + 20 n eta and gamma_{5 p(n) + 8 sqrt(n)}, with p(n) = 64 n for LAPACK's
     unspecified p(n) u (eigh's backward error and loss of orthogonality).
+    The terms are those of A / 2**e (linalg._unit_peak), whose coefficients
+    and residual are scaled back; a coefficient beyond float64 raises ValueError.
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    h1, h2 = hermitian_parts(m)
+    s, e = _unit_peak(as_matrix(a))
+    n = s.shape[0]
+    h1, h2 = hermitian_parts(s)
     coeffs: List[complex] = []
     units: List[np.ndarray] = []
     for h, front in ((h1, 1.0 + 0j), (h2, 1j)):
@@ -109,10 +110,11 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
         units = [u for u, _ in rephased]
         coeffs = [c for _, c in rephased]
     p, root = 64 * n, n**0.5
-    bounds = (_rounding_bound(3 * p + 18 * root + 4, frobenius_norm(m), 20 * n),
+    bounds = (_rounding_bound(3 * p + 18 * root + 4, frobenius_norm(s), 20 * n, e),
               _rounding_bound(5 * p + 8 * root, 1.0, 0))
     dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0, *bounds)
-    dec.reconstruction_residual = frobenius_norm(dec.reconstruct() - m)
+    dec.reconstruction_residual = math.ldexp(frobenius_norm(dec.reconstruct() - s), e)
+    dec.coefficients = [_ldexp(c, e, "a coefficient ||H|| / 2") for c in coeffs]
     eye = np.eye(n)
     dec.unitarity_residual = max(float(np.linalg.norm(np.conj(u).T @ u - eye)) for u in units)
     return dec

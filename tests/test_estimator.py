@@ -157,15 +157,24 @@ class TestLinearOperator:
             LinearOperator(0, apply=lambda v: v)
 
     def test_linearity_probe_passes_for_linear_callback(self):
+        # the zero map and a map with subnormal images pass too: the probe
+        # allows their underflows
         d = np.linspace(1, 2, 6) + 0j
-        op = LinearOperator(6, apply=lambda v: d * v)
-        rep = estimate_trace(op, 500, StreamSpec(17, 0))
-        assert rep.sample_count == 500
+        tiny = crandn(np.random.default_rng(19), 6, 6) * 1e-321
+        for apply in (lambda v: d * v, lambda v: 0 * v, lambda v: tiny @ v):
+            rep = estimate_trace(LinearOperator(6, apply=apply), 500, StreamSpec(17, 0))
+            assert rep.sample_count == 500
 
     def test_linearity_probe_rejects_nonlinear_callback(self):
-        op = LinearOperator(4, apply=lambda v: v * np.linalg.norm(v))
-        with pytest.raises(ValueError, match="linearity"):
-            estimate_trace(op, 100, StreamSpec(18, 0))
+        # the residual is measured against the images alone, so a small
+        # quadratic map c x ||x||^2 fails as a large one does
+        ops = [LinearOperator(4, apply=lambda v: v * np.linalg.norm(v))]
+        for c in (5e-14, 1e-200):
+            ops.append(LinearOperator(4, apply=lambda v: v, apply_batch=lambda x, c=c: (
+                c * x * np.sum(np.abs(x) ** 2, axis=1, keepdims=True))))
+        for op in ops:
+            with pytest.raises(ValueError, match="linearity"):
+                estimate_trace(op, 100, StreamSpec(18, 0))
 
     def test_linearity_probe_runs_on_the_batch_callable(self):
         # apply is linear, but the estimator evaluates apply_batch, which is not
@@ -456,15 +465,15 @@ class TestSubstitutionSweep:
         )[:2] == (0.0, 0.0)
 
     def test_overflow_asks_to_rescale(self):
-        # A is finite, but A x overflows for some draws, so a gap is nan
+        # A x overflows for some draws, and ||A||_F = 2.1e308, but the gaps
+        # and the bound are of A / 2**e, scaled back, so they are finite
+        b, _ = np.linalg.qr(crandn(np.random.default_rng(225), 2, 2))
         a = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="rescale the matrix"):
-                substitution_identity_sweep(a, np.eye(2), 64, StreamSpec(0, 0))
-            # the gap is finite, but the bound needs ||A||_F = 2.1e308
-            with pytest.raises(ValueError, match="Frobenius norm overflows float64"):
-                substitution_identity_sweep(OFF_DIAGONAL_HUGE, np.eye(2), 1, StreamSpec(0, 0))
+            for a, samples in ((a, 64), (OFF_DIAGONAL_HUGE, 1)):
+                gap, _, bound = substitution_identity_sweep(a, b, samples, StreamSpec(0, 0))
+                assert 0.0 < gap <= bound < np.inf
 
     def test_rejects_non_unitary_and_mismatch(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -489,13 +498,24 @@ class TestEstimateMatrixTrace:
     @pytest.mark.parametrize("a, samples", [
         (np.full((2, 2), 1e308), 16),  # some <A x, x> reach 2e308
         (np.diag([1e160, -1e160]), 16),  # squared deviations reach 1e320
-        (OFF_DIAGONAL_HUGE, 1),  # the value is finite; the floor's ||A||_F is not
+        (OFF_DIAGONAL_HUGE, 1),  # the floor's ||A||_F = 2.1e308
     ])
     def test_overflow_asks_to_rescale(self, a, samples):
+        # the estimate is of A / 2**e, so nothing overflows before the
+        # report is scaled back, and each report is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="rescale the matrix"):
-                estimate_matrix_trace(a, samples, StreamSpec(0, 0))
+            rep = estimate_matrix_trace(a, samples, StreamSpec(0, 0))
+        assert np.isfinite([rep.mean, rep.stderr, rep.ci_radius, rep.exact,
+                            rep.rounding_floor]).all()
+
+    def test_estimate_beyond_float64_asks_to_rescale(self):
+        # the one draw's value <A x, x>, of A / 2**e and scaled back, is near
+        # 2.6e308 at seed 1: the report itself is no float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trace estimate overflows float64; rescale"):
+                estimate_matrix_trace(np.full((4, 4), 1e308), 1, StreamSpec(1, 0))
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_raw_overflow_asks_to_rescale(self, seed):

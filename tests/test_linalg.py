@@ -98,11 +98,11 @@ def test_normalized_trace_matches_numpy_trace():
 
 
 def test_normalized_trace_overflow_raises_without_warning():
-    # each entry is finite, the trace 2e308 is not; a trace that fits is kept
+    # the sum 2e308 overflows float64, tr / n does not: the trace is taken
+    # of A / 2**e and scaled back
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="normalized trace overflows float64"):
-            normalized_trace(np.diag([1e308, 1e308]))
+        assert normalized_trace(np.diag([1e308, 1e308])) == 1e308
         assert normalized_trace(np.diag([1e308, -1e308])) == 0j
         assert normalized_trace(np.diag([1.5e308, 0.0])) == 0.75e308 + 0j
 
@@ -208,10 +208,11 @@ class TestHermitianEigh:
 
     def test_rejects_nonhermitian(self):
         # at 1e200 the norm overflows float64, which must not make the
-        # tolerance inf
+        # tolerance inf; at 1e-13 the tolerance must not stay 1e-12: the
+        # check is relative to ||h||_F at every scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for scale in (1.0, 1e100, 1e200):
+            for scale in (1e-13, 1.0, 1e100, 1e200):
                 with pytest.raises(ValueError, match="not Hermitian"):
                     hermitian_eigh([[0.0, scale], [0.0, 0.0]])
 
@@ -226,14 +227,14 @@ class TestHermitianEigh:
             assert np.linalg.norm((q * (w / 1e200)) @ q.conj().T - h / 1e200) <= 1e-12
 
     def test_average_does_not_overflow(self):
-        # (h + h*) / 2 overflows at 1e308; the average halves before it adds
+        # (h + h*) / 2 sums 2e308 at 1e308; the average is of h / 2**e
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, _ = hermitian_eigh([[1e308, 0.0], [0.0, 0.0]])
             assert np.array_equal(w, [0.0, 1e308])
 
     def test_subnormal_input_without_warning(self):
-        # dividing by a subnormal peak as complex numbers overflows
+        # scaling by 2**e brings the subnormal entries to unit peak
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, _ = hermitian_eigh(np.full((2, 2), 5e-324))

@@ -19,7 +19,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tracekit.cli import main  # noqa: E402
-from tracekit.estimator import substitution_identity_sweep  # noqa: E402
+from tracekit.estimator import (  # noqa: E402
+    estimate_matrix_trace,
+    substitution_identity_sweep,
+)
 from tracekit.formats import (  # noqa: E402
     MatrixMarketError,
     dumps,
@@ -28,7 +31,12 @@ from tracekit.formats import (  # noqa: E402
     parse_matrix_market,
 )
 from tracekit.sphere import CHUNK_OFFSET_PROBES, StreamSpec  # noqa: E402
-from tracekit.unitary import decompose_into_unitaries, seeded_unitary  # noqa: E402
+from tracekit.linalg import normalized_trace  # noqa: E402
+from tracekit.unitary import (  # noqa: E402
+    decompose_into_unitaries,
+    hermitian_parts,
+    seeded_unitary,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -273,3 +281,27 @@ def test_gates_pass_correct_output_with_a_tenfold_margin(n, k, kind, seed):
     b = seeded_unitary(StreamSpec(seed, CHUNK_OFFSET_PROBES), n)
     gap, _, bound = substitution_identity_sweep(a, b, 64, StreamSpec(seed, 0))
     assert 10 * gap <= bound
+
+
+@SETTINGS
+@given(st.integers(1, 32), st.integers(-400, 400), st.integers(0, 2**32 - 1))
+def test_reports_scale_exactly_with_powers_of_two(n, k, seed):
+    # every matrix entry point works on A / 2**e and scales its results back,
+    # so report(2**k A) is bitwise 2**k report(A)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ak = a * 2.0**k
+    spec = StreamSpec(seed, 0)
+    fields = ("mean", "stderr", "ci_radius", "exact", "rounding_floor")
+    base, scaled = (estimate_matrix_trace(m, 64, spec) for m in (a, ak))
+    assert [getattr(scaled, f) for f in fields] == [getattr(base, f) * 2.0**k for f in fields]
+    b = seeded_unitary(StreamSpec(seed, CHUNK_OFFSET_PROBES), n)
+    (gap, rho, bound), (gap_k, rho_k, bound_k) = (
+        substitution_identity_sweep(m, b, 64, spec) for m in (a, ak))
+    assert (gap_k, rho_k, bound_k) == (gap * 2.0**k, rho, bound * 2.0**k)
+    dec, dec_k = (decompose_into_unitaries(m) for m in (a, ak))
+    assert dec_k.coefficients == [c * 2.0**k for c in dec.coefficients]
+    assert all(np.array_equal(u, v) for u, v in zip(dec.unitaries, dec_k.unitaries))
+    for h, h_k in zip(hermitian_parts(a), hermitian_parts(ak)):
+        assert np.array_equal(h_k, h * 2.0**k)
+    assert normalized_trace(np.diag([1e308, 1e308])) == 1e308  # the sum is 2e308

@@ -152,6 +152,11 @@ class TestDecompose:
         assert len(dec.coefficients) == 2
         assert dec.coefficients[0] == pytest.approx(norm / 2.0, rel=1e-12)
 
+    def test_coefficient_beyond_float64_raises(self):
+        # the parts and the solves are of A / 2**e; ||H|| / 2 = 2e308 itself is no float64
+        with pytest.raises(ValueError, match="coefficient .* overflows float64; rescale"):
+            decompose_into_unitaries(np.full((4, 4), 1e308))
+
     def test_random_matrices_meet_contract(self):
         rng = np.random.default_rng(308)
         for trial in range(30):
