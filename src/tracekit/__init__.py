@@ -37,7 +37,6 @@ from .sphere import (
     GaussianStream,
     StreamSpec,
     gaussian_matrix,
-    gaussian_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "evaluate_functional",
     "frobenius_norm",
     "gaussian_matrix",
-    "gaussian_vector",
     "hermitian_eigh",
     "hermitian_parts",
     "matrix_unit",

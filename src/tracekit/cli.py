@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import estimate_matrix_trace, substitution_identity_sweep
+from .estimator import LinearOperator, estimate_trace, substitution_identity_sweep
 from .formats import (
     complex_pair,
     dumps,
@@ -134,9 +134,8 @@ def _emit(text: str, args) -> None:
 
 def cmd_estimate(args) -> int:
     a = _load_matrix(args.matrix, args.format)
-    report = estimate_matrix_trace(
-        a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw
-    )
+    report = estimate_trace(LinearOperator.from_matrix(a), args.samples,
+                            StreamSpec(args.seed, 0), z=args.z, raw=args.raw)
     _emit(write_report_json(report), args)
     if args.no_check:
         return 0

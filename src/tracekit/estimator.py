@@ -1,6 +1,6 @@
 """Monte Carlo estimation of the normalized trace by sphere averages.
 
-The normalized trace of a linear operator A on C^n equals the average of
+The normalized trace of a complex n x n matrix A equals the average of
 <A x, x> over the unit sphere, so drawing unit vectors uniformly and
 averaging the quadratic form gives an unbiased estimator whose error
 shrinks like 1/sqrt(N).
@@ -28,8 +28,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -37,10 +37,7 @@ from .linalg import (_ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_n
                      normalized_trace)
 from .sphere import (
     CHUNK_OFFSET_PAIRED,
-    CHUNK_OFFSET_PROBES,
-    GaussianStream,
     StreamSpec,
-    gaussian_vector,
     map_chunks,
 )
 
@@ -51,69 +48,30 @@ __all__ = [
     "stats_from_values",
     "EstimateReport",
     "estimate_trace",
-    "estimate_matrix_trace",
     "substitution_identity_sweep",
     "commutation_estimate_check",
 ]
 
 
 class LinearOperator:
-    """A linear map on C^n given by a callable, with an optional batch form.
+    """The linear map x -> A x of a square complex matrix A on C^n.
 
-    `apply` takes and returns a vector of shape (n,).  `apply_batch`,
-    if provided, maps a (m, n) array of row vectors to the (m, n) array
-    of images; otherwise rows are applied one at a time.  Operators
-    built from explicit matrices use matrix multiplication for both.
-    Estimators call apply_batch (and so apply, when no batch form is
-    given) on row blocks of each chunk, from several threads at once, so
-    both must be thread-safe.
-
-    `assume_linear=True` marks the map as linear by construction, which
-    lets estimators skip the random linearity probes.
+    Build it with from_matrix, which validates A (linalg.as_matrix) and
+    stores the result as `matrix`.  apply_batch maps a (m, n) array of row
+    vectors to the (m, n) array of their images; estimators call it on row
+    blocks of each chunk, from several threads at once.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        apply: Callable[[np.ndarray], np.ndarray],
-        apply_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        assume_linear: bool = False,
-    ):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self._apply = apply
-        self._apply_batch = apply_batch
-        self.assume_linear = bool(assume_linear)
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.dim = matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, a) -> "LinearOperator":
-        m = as_matrix(a)
-        return cls(
-            m.shape[0],
-            apply=lambda v: m @ v,
-            apply_batch=lambda x: x @ m.T,  # row v -> (m @ v) as a row
-            assume_linear=True,
-        )
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.asarray(self._apply(v), dtype=np.complex128)
-        if out.shape != (self.dim,):
-            raise ValueError(
-                f"apply returned shape {out.shape}, expected ({self.dim},)"
-            )
-        return out
+        return cls(as_matrix(a))
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
-        if self._apply_batch is not None:
-            out = np.asarray(self._apply_batch(x), dtype=np.complex128)
-        else:
-            out = np.stack([self.apply(row) for row in x])
-        if out.shape != x.shape:
-            raise ValueError(
-                f"apply_batch returned shape {out.shape}, expected {x.shape}"
-            )
-        return out
+        return x @ self.matrix.T  # row v -> (A @ v) as a row
 
 
 def _split_sums(v: np.ndarray, x: np.ndarray):
@@ -199,118 +157,65 @@ class EstimateReport:
     stderr: float
     ci_radius: float
     spec: StreamSpec
-    exact: Optional[complex] = None
-    rounding_floor: float = 0.0  # the most rounding can make of abs_error()
+    exact: complex
+    rounding_floor: float  # the most rounding can make of abs_error()
 
-    def abs_error(self) -> Optional[float]:
-        if self.exact is None:
-            return None
+    def abs_error(self) -> float:
         return abs(self.mean - self.exact)
 
 
-def _check_linearity(op: LinearOperator, spec: StreamSpec) -> None:
-    """Spot-check additivity and homogeneity of apply_batch, the callable the
-    estimator evaluates, on three random Gaussian probes."""
-    stream = GaussianStream(spec.offset(CHUNK_OFFSET_PROBES))
-    for k in range(3):
-        u = gaussian_vector(stream, op.dim)
-        v = gaussian_vector(stream, op.dim)
-        g = stream.gaussians(4)
-        alpha = complex(g[0], g[1])
-        beta = complex(g[2], g[3])
-        image_u, image_v, lhs = op.apply_batch(np.stack([u, v, alpha * u + beta * v]))
-        # in units of 2**e, so no norm overflows: relative to the images,
-        # plus the underflows of subnormal images (README)
-        s, e = _unit_peak(np.stack([alpha * image_u, beta * image_v, lhs]))
-        gap, nu, nv = (float(np.linalg.norm(x)) for x in (s[2] - (s[0] + s[1]), s[0], s[1]))
-        underflows = (1.0 + abs(alpha) + abs(beta)) * 4 * op.dim**2
-        tol = 1e-10 * (nu + nv) + math.ldexp(underflows, -1074 - e)
-        if gap > tol:
-            raise ValueError(f"operator failed linearity probe {k}: residual {gap:.3e} "
-                             f"exceeds {tol:.3e}, in units of 2**{e}")
-
-
 def estimate_trace(
-    op: LinearOperator, n_samples: int, spec: StreamSpec, *, z: float = 3.0
+    op: LinearOperator, n_samples: int, spec: StreamSpec, *, z: float = 3.0, raw: bool = False
 ) -> EstimateReport:
-    """Estimate the normalized trace of `op` from `n_samples` sphere draws.
+    """Estimate the normalized trace tr(A) / n of op's matrix A from
+    `n_samples` sphere draws, with `exact` = tr(A) / n filled in.
 
     Draws follow the chunk layout of map_chunks at `spec`, and chunk
     statistics are merged left to right, so the report depends only on
-    (spec, n_samples) and is bitwise identical for any number of pool
+    (A, spec, n_samples) and is bitwise identical for any number of pool
     threads; the BLAS kernel and thread count can change its last bits.
-    The confidence radius is z * stderr.
-
-    Unless the operator is marked assume_linear, three random probes
-    verify linearity first; a failed probe raises ValueError.  A
-    non-finite sample value raises FloatingPointError naming the sample
-    index, and a mean or stderr that overflows float64 raises ValueError,
-    as does a z so large that z * stderr does.
+    The estimate is of A / 2**e, scaled exactly to unit peak
+    (linalg._unit_peak) so that no sample value overflows, and is scaled
+    back.  The confidence radius is z * stderr, and the rounding floor
+    gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta, derived in README.
+    raw=True reports the trace tr(A) itself: mean, stderr, ci_radius,
+    exact and the floor are all multiplied by n.  A reported number beyond
+    float64 raises ValueError, as does a z so large that z * stderr is.
     """
+    return _estimate(op.matrix, 0, n_samples, spec, z, raw)
+
+
+def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec, z: float = 3.0,
+              raw: bool = False) -> EstimateReport:
+    """estimate_trace of the matrix m * 2**e."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not z > 0.0:
         raise ValueError(f"z must be > 0, got {z}")
+    s, e_s = _unit_peak(m)
+    e += e_s
+    op = LinearOperator.from_matrix(s)
+    n = op.dim
 
-    def values(rows: np.ndarray) -> np.ndarray:  # inf or nan on overflow
+    def values(rows: np.ndarray) -> np.ndarray:
         return _rayleigh_values(op.apply_batch(rows), rows)
 
-    # checks the layout now; no chunk starts before the loop below
-    chunks = map_chunks(values, spec, op.dim, n_samples)
-    if not op.assume_linear:
-        _check_linearity(op, spec)
     total = RunningStats()
-    for lo, chunk in chunks:
-        finite = np.isfinite(chunk)
-        if not np.all(finite):
-            j = lo + int(np.argmin(finite))
-            raise FloatingPointError(f"non-finite numerical value at sample {j}")
+    for _, chunk in map_chunks(values, spec, n, n_samples):
         total = merge_stats(total, stats_from_values(chunk))
-
-    stderr = total.stderr()
-    if not np.isfinite([total.mean, stderr]).all():
-        raise ValueError("sample statistics overflow float64; rescale the matrix")
+    mean = _ldexp(total.mean, e, "trace estimate")
+    stderr = _ldexp(total.stderr(), e, "trace estimate").real
     ci_radius = z * stderr
+    exact = _ldexp(normalized_trace(s), e, "normalized trace")
+    floor = _rounding_bound(2 * n, frobenius_norm(s), 8 * n * n + n_samples, e)
+    if raw:
+        mean, stderr, ci_radius, exact, floor = (
+            f * n for f in (mean, stderr, ci_radius, exact, floor))
+        if not np.isfinite([mean, stderr, exact]).all():
+            raise ValueError("raw trace overflows float64; rescale the matrix")
     if not math.isfinite(ci_radius):
         raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
-    return EstimateReport(
-        dim=op.dim,
-        sample_count=n_samples,
-        mean=total.mean,
-        stderr=stderr,
-        ci_radius=ci_radius,
-        spec=spec,
-    )
-
-
-def estimate_matrix_trace(
-    a, n_samples: int, spec: StreamSpec, *, z: float = 3.0, raw: bool = False
-) -> EstimateReport:
-    """estimate_trace of an explicit matrix, with `exact` = tr(A) / n filled in.
-
-    The estimate is of A / 2**e, scaled exactly to unit peak
-    (linalg._unit_peak) so that no sample value overflows, and is scaled
-    back.  Its rounding floor is gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta,
-    derived in README.  raw=True reports the trace tr(A) itself: mean,
-    stderr, ci_radius, exact and the floor are all multiplied by n.  A
-    reported number beyond float64 raises ValueError.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    s, e = _unit_peak(m)
-    scaled = estimate_trace(LinearOperator.from_matrix(s), n_samples, spec, z=z)
-    stderr = _ldexp(scaled.stderr, e, "trace estimate").real
-    floor = _rounding_bound(2 * n, frobenius_norm(s), 8 * n * n + n_samples, e)
-    report = replace(scaled, mean=_ldexp(scaled.mean, e, "trace estimate"), stderr=stderr,
-                     ci_radius=z * stderr, exact=normalized_trace(m), rounding_floor=floor)
-    if raw:
-        report = replace(report, mean=report.mean * n, stderr=stderr * n, exact=report.exact * n,
-                         ci_radius=report.ci_radius * n, rounding_floor=floor * n)
-        if not np.isfinite([report.mean, report.stderr, report.exact]).all():
-            raise ValueError("raw trace overflows float64; rescale the matrix")
-    if not math.isfinite(report.ci_radius):
-        raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
-    return report
+    return EstimateReport(n, n_samples, mean, stderr, ci_radius, spec, exact, floor)
 
 
 def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, ...]:
@@ -363,12 +268,15 @@ def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec):
     The second estimate runs on the paired substream block at
     spec.offset(2**32) so the two never share samples.  Both reports
     carry the exact normalized trace (equal for the two products, up to
-    rounding in forming them).  Returns (report_ab, report_ba).
+    rounding in forming them).  The products are formed from A / 2**ea and
+    B / 2**eb (linalg._unit_peak), so none overflows, and the reports are
+    scaled back by 2**(ea + eb).  Returns (report_ab, report_ba).
     """
     am = as_matrix(a, "a")
     bm = as_matrix(b, "b")
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    rep_ab = estimate_matrix_trace(am @ bm, n_samples, spec)
-    rep_ba = estimate_matrix_trace(bm @ am, n_samples, spec.offset(CHUNK_OFFSET_PAIRED))
+    (sa, ea), (sb, eb) = _unit_peak(am), _unit_peak(bm)
+    rep_ab = _estimate(sa @ sb, ea + eb, n_samples, spec)
+    rep_ba = _estimate(sb @ sa, ea + eb, n_samples, spec.offset(CHUNK_OFFSET_PAIRED))
     return rep_ab, rep_ba

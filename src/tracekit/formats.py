@@ -421,9 +421,8 @@ def _emit(value, pieces, written) -> None:
 def write_report_json(report: EstimateReport) -> str:
     """Serialize an estimate report with a fixed key order.
 
-    Keys: n, samples, mean, stderr, ci_radius, seed, exact, and
-    abs_error = report.abs_error() when the report carries the exact
-    value; otherwise `exact` is null and abs_error is left out.
+    Keys: n, samples, mean, stderr, ci_radius, seed, exact and
+    abs_error = report.abs_error().
     """
     doc = {
         "n": report.dim,
@@ -432,8 +431,7 @@ def write_report_json(report: EstimateReport) -> str:
         "stderr": report.stderr,
         "ci_radius": report.ci_radius,
         "seed": report.spec.master_seed,
-        "exact": None if report.exact is None else complex_pair(report.exact),
+        "exact": complex_pair(report.exact),
+        "abs_error": report.abs_error(),
     }
-    if report.exact is not None:
-        doc["abs_error"] = report.abs_error()
     return dumps(doc) + "\n"

@@ -23,12 +23,13 @@ sample j of a run based at stream_index b is drawn from stream
 b + j // CHUNK_SIZE, at offset j % CHUNK_SIZE within it.  The layout
 depends only on (master_seed, b), never on how chunks are assigned to
 threads.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
-draws (paired second estimates and probe vectors), so a single run keeps
-below 2**32 chunks.  `map_chunks` draws the chunks of a layout on a
-thread pool, one per CPU this process may use.  Each chunk is drawn in
-blocks of 512 rows into one buffer that the chunk reuses, and a row-wise
-function of each block is kept, so a thread holds one block of draws,
-never a whole chunk; the per-row results come back in chunk order.
+draws (paired second estimates, and the seeded unitary B of
+`check-invariance --random-unitary`), so a single run keeps below 2**32
+chunks.  `map_chunks` draws the chunks of a layout on a thread pool, one
+per CPU this process may use.  Each chunk is drawn in blocks of 512 rows
+into one buffer that the chunk reuses, and a row-wise function of each
+block is kept, so a thread holds one block of draws, never a whole chunk;
+the per-row results come back in chunk order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 __all__ = [
     "StreamSpec",
     "GaussianStream",
-    "gaussian_vector",
     "gaussian_matrix",
     "sample_unit_vectors",
     "sample_unit_vectors_chunked",
@@ -120,24 +120,12 @@ class GaussianStream:
         return ndtri(u, out=u)
 
 
-def _complex_normals(stream: GaussianStream, *shape: int) -> np.ndarray:
-    """Standard complex Gaussians of `shape`, in row-major order: entry k
-    takes words (2k, 2k+1) as (real, imag)."""
-    return stream.gaussians(2 * int(np.prod(shape))).view(np.complex128).reshape(shape)
-
-
-def gaussian_vector(stream: GaussianStream, n: int) -> np.ndarray:
-    """Standard complex Gaussian vector: entry k from words (2k, 2k+1)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return _complex_normals(stream, n)
-
-
 def gaussian_matrix(stream: GaussianStream, n: int) -> np.ndarray:
-    """n x n matrix of standard complex Gaussians, entries in row-major order."""
+    """n x n matrix of standard complex Gaussians in row-major order: entry k
+    takes words (2k, 2k+1) as (real, imag)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return _complex_normals(stream, n, n)
+    return stream.gaussians(2 * n * n).view(np.complex128).reshape(n, n)
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -237,8 +225,8 @@ def map_chunks(fn, spec: StreamSpec, n: int, count: int):
     fn maps a (rows, n) array of draws to one result per row, each from
     its own row alone.  It is called on blocks of 512 rows, drawn into a
     buffer the chunk reuses, and again on redrawn rows (see _map_rows),
-    with numpy's overflow and invalid-value warnings off: the caller
-    checks the values for inf and nan.
+    with numpy's overflow and invalid-value warnings off: a row of zeros
+    waiting for its redraw can give a 0 / 0 that the redraw replaces.
 
     Chunks run on a pool of one thread per CPU this process may use, at
     most two per thread ahead of the consumer, so fn must be thread-safe.

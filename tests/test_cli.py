@@ -185,7 +185,7 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err.startswith("error: entry (0, 0)[0]: non-finite value")
 
-    def test_overflowing_exact_trace_exits_1_with_one_line(self, capsys, tmp_path):
+    def test_overflowing_exact_trace_exits_0(self, capsys, tmp_path):
         # tr A = 2e308 overflows float64, tr A / n = 1e308 does not: the
         # estimate and the exact value are of A / 2**e, scaled back
         path = tmp_path / "big.mm"
@@ -338,7 +338,7 @@ class TestDecompose:
         _, second, _ = run(capsys, "decompose", random_file, "--det-one")
         assert first == second
 
-    def test_overflowing_hermitian_parts_exit_1_with_one_line(self, capsys, tmp_path):
+    def test_overflowing_hermitian_parts_exit_0(self, capsys, tmp_path):
         # (A + A*) / 2 sums 2e308 before it halves, but the parts are of
         # A / 2**e: the one part A = 1e308 (1 1; 1 1), of norm 2e308, gives
         # two terms of coefficient 1e308

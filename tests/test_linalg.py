@@ -97,7 +97,7 @@ def test_normalized_trace_matches_numpy_trace():
         assert normalized_trace(a) == pytest.approx(expected, rel=1e-15)
 
 
-def test_normalized_trace_overflow_raises_without_warning():
+def test_normalized_trace_of_overflowing_sum_is_finite():
     # the sum 2e308 overflows float64, tr / n does not: the trace is taken
     # of A / 2**e and scaled back
     with warnings.catch_warnings():

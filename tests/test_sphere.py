@@ -13,7 +13,6 @@ from tracekit.sphere import (
     GaussianStream,
     StreamSpec,
     gaussian_matrix,
-    gaussian_vector,
     sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
@@ -128,11 +127,12 @@ class TestDeterminism:
         assert np.array_equal(sample_unit_vectors(GaussianStream(spec), 3, 1)[0], expected)
 
 
-def test_gaussian_vector_and_matrix_agree_on_consumption():
+def test_gaussian_matrix_entry_layout():
+    # entry k of the row-major matrix takes words (2k, 2k+1) as (re, im)
     spec = StreamSpec(21, 3)
-    v = gaussian_vector(GaussianStream(spec), 4)
+    g = GaussianStream(spec).gaussians(8)
     m = gaussian_matrix(GaussianStream(spec), 2)
-    assert np.array_equal(v.reshape(2, 2), m)
+    assert np.array_equal(m, (g[0::2] + 1j * g[1::2]).reshape(2, 2))
 
 
 def test_gaussian_moments():
@@ -236,7 +236,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         sample_unit_vectors(stream, 3, -1)
     with pytest.raises(ValueError):
-        gaussian_vector(stream, 0)
+        gaussian_matrix(stream, 0)
     with pytest.raises(ValueError):
         stream.gaussians(-1)
     with pytest.raises(ValueError):
