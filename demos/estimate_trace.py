@@ -10,7 +10,7 @@ shows the confidence radius shrinking like 1/sqrt(N).
 
 import numpy as np
 
-from tracekit import LinearOperator, StreamSpec, estimate_trace, normalized_trace
+from tracekit import StreamSpec, estimate_trace, normalized_trace
 
 rng = np.random.default_rng(2024)
 n = 8
@@ -19,11 +19,10 @@ exact = normalized_trace(a)
 print(f"matrix size        : {n} x {n}")
 print(f"exact trace / n    : {exact:.6f}")
 
-op = LinearOperator.from_matrix(a)
 spec = StreamSpec(master_seed=2024, stream_index=0)
 
 # one detailed report at a moderate sample count
-report = estimate_trace(op, 50000, spec)
+report = estimate_trace(a, 50000, spec)
 err = abs(report.mean - exact)
 print(f"estimate (N=50000) : {report.mean:.6f}")
 print(f"abs error          : {err:.2e}")
@@ -35,6 +34,6 @@ print(f"error inside radius: {err <= report.ci_radius}")
 print()
 print("   N        stderr     ci radius   abs error")
 for n_samples in (1000, 4000, 16000, 64000, 256000):
-    r = estimate_trace(op, n_samples, spec)
+    r = estimate_trace(a, n_samples, spec)
     e = abs(r.mean - exact)
     print(f"{n_samples:>8}   {r.stderr:.3e}   {r.ci_radius:.3e}   {e:.3e}")

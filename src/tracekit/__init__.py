@@ -12,7 +12,6 @@ estimator inherits sample by sample.
 
 from .estimator import (
     EstimateReport,
-    LinearOperator,
     RunningStats,
     commutation_estimate_check,
     estimate_trace,
@@ -60,7 +59,6 @@ __all__ = [
     "EstimateReport",
     "FunctionalSolution",
     "GaussianStream",
-    "LinearOperator",
     "MatrixMarketError",
     "RunningStats",
     "StreamSpec",

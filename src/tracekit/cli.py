@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import LinearOperator, estimate_trace, substitution_identity_sweep
+from .estimator import estimate_trace, substitution_identity_sweep
 from .formats import (
     complex_pair,
     dumps,
@@ -120,8 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(path: str, fmt: str) -> np.ndarray:
-    text = Path(path).read_text()
-    parsed = parse_matrix_market(text) if fmt == "mm" else parse_json_dense(text)
+    try:  # a check-invariance fault must say which of its two files it is in
+        text = Path(path).read_text()
+        parsed = parse_matrix_market(text) if fmt == "mm" else parse_json_dense(text)
+    except ValueError as exc:  # UnicodeDecodeError among them
+        raise ValueError(f"matrix file {path!r}: {exc}") from None
     return as_matrix(parsed, f"matrix file {path!r}")
 
 
@@ -134,8 +137,7 @@ def _emit(text: str, args) -> None:
 
 def cmd_estimate(args) -> int:
     a = _load_matrix(args.matrix, args.format)
-    report = estimate_trace(LinearOperator.from_matrix(a), args.samples,
-                            StreamSpec(args.seed, 0), z=args.z, raw=args.raw)
+    report = estimate_trace(a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw)
     _emit(write_report_json(report), args)
     if args.no_check:
         return 0

@@ -54,21 +54,15 @@ __all__ = [
 
 
 class LinearOperator:
-    """The linear map x -> A x of a square complex matrix A on C^n.
+    """The traced apply stage of the estimator: x -> A x for the square matrix A.
 
-    Build it with from_matrix, which validates A (linalg.as_matrix) and
-    stores the result as `matrix`.  apply_batch maps a (m, n) array of row
-    vectors to the (m, n) array of their images; estimators call it on row
-    blocks of each chunk, from several threads at once.
+    apply_batch maps a (m, n) array of row vectors to the (m, n) array of
+    their images; estimate_trace calls it on row blocks of each chunk, from
+    several threads at once, and tracers time it as the operator apply.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.dim = matrix.shape[0]
-
-    @classmethod
-    def from_matrix(cls, a) -> "LinearOperator":
-        return cls(as_matrix(a))
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix.T  # row v -> (A @ v) as a row
@@ -165,10 +159,11 @@ class EstimateReport:
 
 
 def estimate_trace(
-    op: LinearOperator, n_samples: int, spec: StreamSpec, *, z: float = 3.0, raw: bool = False
+    a, n_samples: int, spec: StreamSpec, *, z: float = 3.0, raw: bool = False
 ) -> EstimateReport:
-    """Estimate the normalized trace tr(A) / n of op's matrix A from
-    `n_samples` sphere draws, with `exact` = tr(A) / n filled in.
+    """Estimate the normalized trace tr(A) / n of the square matrix A = a
+    (validated by linalg.as_matrix) from `n_samples` sphere draws, with
+    `exact` = tr(A) / n filled in.
 
     Draws follow the chunk layout of map_chunks at `spec`, and chunk
     statistics are merged left to right, so the report depends only on
@@ -182,7 +177,7 @@ def estimate_trace(
     exact and the floor are all multiplied by n.  A reported number beyond
     float64 raises ValueError, as does a z so large that z * stderr is.
     """
-    return _estimate(op.matrix, 0, n_samples, spec, z, raw)
+    return _estimate(as_matrix(a), 0, n_samples, spec, z, raw)
 
 
 def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec, z: float = 3.0,
@@ -194,8 +189,8 @@ def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec, z: float 
         raise ValueError(f"z must be > 0, got {z}")
     s, e_s = _unit_peak(m)
     e += e_s
-    op = LinearOperator.from_matrix(s)
-    n = op.dim
+    op = LinearOperator(s)
+    n = s.shape[0]
 
     def values(rows: np.ndarray) -> np.ndarray:
         return _rayleigh_values(op.apply_batch(rows), rows)

@@ -155,12 +155,6 @@ def parse_matrix_market(text) -> np.ndarray:
                 f"line {number}: a dense {rows} x {cols} complex matrix needs "
                 f"{dense_bytes} bytes, above the limit of {MAX_DENSE_BYTES}"
             )
-    # every entry takes a line of its own
-    if expected > len(lines) - number:
-        raise MatrixMarketError(
-            f"line {len(lines)}: expected {expected} entries, "
-            f"found {len(lines) - number} lines after the size line"
-        )
 
     numbers = body[1:]
 

@@ -121,11 +121,13 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
 
 
 def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
-    """A random n x n unitary from the substream at `spec`: the first term of
-    the decomposition of H, the Hermitian part of gaussian_matrix; one solve
-    of H gives its eigenvalues w, and the phases come from w / ||H||."""
+    """A random n x n unitary from the substream at `spec`: the phase unitary
+    of H, the Hermitian part of gaussian_matrix, from one solve H = Q diag(w) Q*
+    and the phases of w / ||H||; bitwise the first term of decompose_into_unitaries(H)."""
     h = hermitian_parts(gaussian_matrix(GaussianStream(spec), n))[0]
-    return decompose_into_unitaries(h).unitaries[0]
+    w, q = hermitian_eigh(h)
+    norm = float(max(abs(w[0]), abs(w[-1])))
+    return _phase_unitary(w / (norm or 1.0), q)  # H = 0 only if all 2n^2 normals are 0
 
 
 def determinant(a) -> complex:

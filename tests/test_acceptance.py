@@ -14,7 +14,6 @@ import io
 from tracekit import sphere
 from tracekit.cli import main
 from tracekit.estimator import (
-    LinearOperator,
     estimate_trace,
     substitution_identity_sweep,
 )
@@ -62,9 +61,7 @@ def test_criterion_1_estimates_match_exact_traces():
         n = CASE_DIMS[case % 4]
         rng = np.random.default_rng(seed)
         a = crandn(rng, n, n)
-        rep = estimate_trace(
-            LinearOperator.from_matrix(a), 100000, StreamSpec(seed, 0)
-        )
+        rep = estimate_trace(a, 100000, StreamSpec(seed, 0))
         if abs(rep.mean - normalized_trace(a)) <= 4.0 * rep.stderr:
             passed.add(case)
     assert len(passed) >= 19
@@ -78,11 +75,7 @@ def test_criterion_1_estimates_match_exact_traces():
 def test_criterion_2_identity_estimate_is_exact():
     for n in (1, 2, 4, 16):
         for n_samples in (1, 7, 100, 2500):
-            rep = estimate_trace(
-                LinearOperator.from_matrix(np.eye(n)),
-                n_samples,
-                StreamSpec(31 * n + n_samples, 0),
-            )
+            rep = estimate_trace(np.eye(n), n_samples, StreamSpec(31 * n + n_samples, 0))
             assert rep.mean == 1.0 + 0.0j
             assert rep.stderr == 0.0
     print("PASS 2: identity operator estimates are exactly 1.0 with zero stderr")
@@ -91,9 +84,8 @@ def test_criterion_2_identity_estimate_is_exact():
 def test_criterion_3_stderr_scales_as_inverse_sqrt():
     rng = np.random.default_rng(77)
     a = crandn(rng, 8, 8)
-    op = LinearOperator.from_matrix(a)
-    small = estimate_trace(op, 25000, StreamSpec(77, 0))
-    large = estimate_trace(op, 100000, StreamSpec(77, 0))
+    small = estimate_trace(a, 25000, StreamSpec(77, 0))
+    large = estimate_trace(a, 100000, StreamSpec(77, 0))
     ratio = large.stderr / small.stderr
     assert 0.4 <= ratio <= 0.6
     print(f"PASS 3: quadrupling samples halves the stderr (ratio {ratio:.3f})")
@@ -200,11 +192,10 @@ def test_criterion_9_serialization_round_trips():
 def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(1010)
     a = crandn(rng, 6, 6)
-    op = LinearOperator.from_matrix(a)
     reports = []
     for cpus in (1, 8):
         monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
-        reports.append(estimate_trace(op, 5 * sphere.CHUNK_SIZE, StreamSpec(10, 0)))
+        reports.append(estimate_trace(a, 5 * sphere.CHUNK_SIZE, StreamSpec(10, 0)))
     assert reports[0] == reports[1]
 
     path = tmp_path / "a.mm"

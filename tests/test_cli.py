@@ -167,7 +167,7 @@ class TestEstimate:
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "estimate", str(path), "--samples", "10")
         assert code == 1 and out == ""
-        assert err.startswith("error: line 3:")
+        assert err.startswith(f"error: matrix file {str(path)!r}: line 3:")
 
     def test_deeply_nested_json_exits_1(self, capsys, tmp_path):
         # an input error, not a failed numerical check
@@ -183,7 +183,8 @@ class TestEstimate:
         path.write_text("[[[1" + "0" * 400 + ", 0]]]")
         code, out, err = run(capsys, "estimate", str(path), "--format", "json")
         assert code == 1 and out == ""
-        assert err.startswith("error: entry (0, 0)[0]: non-finite value")
+        assert err.startswith(f"error: matrix file {str(path)!r}: "
+                              "entry (0, 0)[0]: non-finite value")
 
     def test_overflowing_exact_trace_exits_0(self, capsys, tmp_path):
         # tr A = 2e308 overflows float64, tr A / n = 1e308 does not: the
@@ -531,6 +532,17 @@ class TestCheckInvariance:
         assert code == 1
         assert "not unitary" in err
         assert "B*B - I" in err
+
+    @pytest.mark.parametrize("text", [b"%%MatrixMarket matrix array real general\n1 1\nx\n",
+                                      b"\xff"], ids=["grammar", "not-utf-8"])
+    def test_bad_unitary_file_is_named(self, capsys, random_file, tmp_path, text):
+        # two files are read: a parse fault says which one it is in
+        upath = tmp_path / "u.mm"
+        upath.write_bytes(text)
+        code, out, err = run(capsys, "check-invariance", random_file, "--unitary", str(upath))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: matrix file {str(upath)!r}: ")
+        assert err.count("\n") == 1
 
     def test_requires_exactly_one_source(self, capsys, random_file, tmp_path):
         code, _, err = run(capsys, "check-invariance", random_file)

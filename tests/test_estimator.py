@@ -100,14 +100,14 @@ class TestNumericalValue:
     def test_identity_is_exact(self):
         rng = np.random.default_rng(202)
         for n in (1, 2, 4, 8, 16):
-            op = LinearOperator.from_matrix(np.eye(n))
+            op = LinearOperator(np.eye(n))
             x = crandn(rng, 3, n)  # deliberately not unit
             assert np.all(_rayleigh_values(op.apply_batch(x), x) == 1.0 + 0.0j)
 
     def test_hand_value_matrix_unit(self):
         # <e_01 x, x> at x = (1,1)/sqrt(2): first entry of e_01 x is
         # x[1], so the form gives x[1] * conj(x[0]) = 1/2
-        op = LinearOperator.from_matrix(matrix_unit(0, 1, 2))
+        op = LinearOperator(matrix_unit(0, 1, 2))
         x = np.array([[1.0, 1.0]], dtype=np.complex128) / np.sqrt(2.0)
         assert _rayleigh_values(op.apply_batch(x), x)[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -120,32 +120,31 @@ class TestNumericalValue:
         count = sphere.CHUNK_SIZE + 700
         oracle = np.mean([np.vdot(x, a @ x) / np.vdot(x, x)
                           for x in sample_unit_vectors_chunked(spec, 6, count)])
-        rep = estimate_trace(LinearOperator.from_matrix(a), count, spec)
+        rep = estimate_trace(a, count, spec)
         assert rep.mean == pytest.approx(oracle, rel=1e-12)
 
     def test_hermitian_values_are_real(self):
         rng = np.random.default_rng(204)
         g = crandn(rng, 6, 6)
-        op = LinearOperator.from_matrix((g + g.conj().T) / 2)
-        rep = estimate_trace(op, sphere.CHUNK_SIZE + 700, StreamSpec(204, 0))
+        rep = estimate_trace((g + g.conj().T) / 2, sphere.CHUNK_SIZE + 700, StreamSpec(204, 0))
         assert abs(rep.mean.imag) <= 1e-12 * abs(rep.mean.real)
 
 
 class TestLinearOperator:
-    def test_from_matrix_batch_matches_single(self):
+    def test_batch_matches_single(self):
         rng = np.random.default_rng(205)
         a = crandn(rng, 5, 5)
-        op = LinearOperator.from_matrix(a)
+        op = LinearOperator(a)
         x = crandn(rng, 8, 5)
         batch = op.apply_batch(x)
         for j in range(8):
             np.testing.assert_allclose(batch[j], a @ x[j], atol=1e-13)
 
     def test_shape_validation(self):
-        assert LinearOperator.from_matrix(np.eye(3)).apply_batch(np.ones((2, 3))).shape == (2, 3)
+        assert LinearOperator(np.eye(3)).apply_batch(np.ones((2, 3))).shape == (2, 3)
         for bad in (np.ones((3, 2)), np.ones(3), np.ones((0, 0))):
-            with pytest.raises(ValueError):
-                LinearOperator.from_matrix(bad)
+            with pytest.raises(ValueError, match="^matrix "):
+                estimate_trace(bad, 10, StreamSpec(0, 0))
 
 
 class TestRunningStats:
@@ -206,11 +205,7 @@ class TestEstimateTrace:
     def test_identity_exact(self):
         for n in (1, 4, 16):
             for n_samples in (1, 100, 5000):
-                rep = estimate_trace(
-                    LinearOperator.from_matrix(np.eye(n)),
-                    n_samples,
-                    StreamSpec(123, 0),
-                )
+                rep = estimate_trace(np.eye(n), n_samples, StreamSpec(123, 0))
                 assert rep.mean == 1.0 + 0.0j
                 assert rep.stderr == 0.0
                 assert rep.ci_radius == 0.0
@@ -218,19 +213,16 @@ class TestEstimateTrace:
     def test_matches_exact_trace_within_ci(self):
         rng = np.random.default_rng(209)
         a = crandn(rng, 8, 8)
-        rep = estimate_trace(
-            LinearOperator.from_matrix(a), 100000, StreamSpec(42, 0)
-        )
+        rep = estimate_trace(a, 100000, StreamSpec(42, 0))
         exact = normalized_trace(a)
         assert abs(rep.mean - exact) <= 4.0 * rep.stderr
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(210)
         a = crandn(rng, 4, 4)
-        op = LinearOperator.from_matrix(a)
-        r1 = estimate_trace(op, 3000, StreamSpec(7, 0))
-        r2 = estimate_trace(op, 3000, StreamSpec(7, 0))
-        r3 = estimate_trace(op, 3000, StreamSpec(8, 0))
+        r1 = estimate_trace(a, 3000, StreamSpec(7, 0))
+        r2 = estimate_trace(a, 3000, StreamSpec(7, 0))
+        r3 = estimate_trace(a, 3000, StreamSpec(8, 0))
         assert r1 == r2
         assert r1.mean != r3.mean
 
@@ -238,30 +230,30 @@ class TestEstimateTrace:
         # one thread per CPU, up to one per chunk: 10 chunks on 1, 3 or 8
         # CPUs (neither 3 nor 8 divides 10) give bitwise equal reports
         rng = np.random.default_rng(211)
-        op = LinearOperator.from_matrix(crandn(rng, 6, 6))
+        a = crandn(rng, 6, 6)
         count = 9 * sphere.CHUNK_SIZE + 17
         reports = []
         for cpus in (1, 3, 8):
             monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
-            reports.append(estimate_trace(op, count, StreamSpec(3, 0)))
+            reports.append(estimate_trace(a, count, StreamSpec(3, 0)))
         assert reports[0] == reports[1] == reports[2]
 
     def test_default_threads_match_serial(self, monkeypatch):
         # unpatched, the thread count is one per CPU in the process's
         # affinity; with 5 chunks the report equals the one-thread report
         rng = np.random.default_rng(214)
-        op = LinearOperator.from_matrix(crandn(rng, 7, 7))
+        a = crandn(rng, 7, 7)
         count = 4 * sphere.CHUNK_SIZE + 17
-        default = estimate_trace(op, count, StreamSpec(4, 0))
+        default = estimate_trace(a, count, StreamSpec(4, 0))
         monkeypatch.setattr(sphere, "_cpus", lambda: 1)
-        serial = estimate_trace(op, count, StreamSpec(4, 0))
+        serial = estimate_trace(a, count, StreamSpec(4, 0))
         assert default == serial
 
     def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
         # each of two threads holds one row block of draws and a few row-block
         # temporaries, never a chunk's draws (4 MB per chunk at n = 64)
-        op = LinearOperator.from_matrix(crandn(np.random.default_rng(215), 64, 64))
-        peak = peak_of_two_threads(monkeypatch, lambda count, spec: estimate_trace(op, count, spec))
+        a = crandn(np.random.default_rng(215), 64, 64)
+        peak = peak_of_two_threads(monkeypatch, lambda count, spec: estimate_trace(a, count, spec))
         assert peak < 2 * 5 * BLOCK_64
 
     def test_linearity_in_operator_at_fixed_seed(self):
@@ -270,11 +262,9 @@ class TestEstimateTrace:
         b = crandn(rng, 5, 5)
         alpha, beta = 1.5 - 0.5j, -0.25 + 2j
         spec = StreamSpec(99, 0)
-        combined = estimate_trace(
-            LinearOperator.from_matrix(alpha * a + beta * b), 2000, spec
-        )
-        ra = estimate_trace(LinearOperator.from_matrix(a), 2000, spec)
-        rb = estimate_trace(LinearOperator.from_matrix(b), 2000, spec)
+        combined = estimate_trace(alpha * a + beta * b, 2000, spec)
+        ra = estimate_trace(a, 2000, spec)
+        rb = estimate_trace(b, 2000, spec)
         assert combined.mean == pytest.approx(
             alpha * ra.mean + beta * rb.mean, abs=1e-10
         )
@@ -286,7 +276,7 @@ class TestEstimateTrace:
         rng = np.random.default_rng(230 + n)
         a = crandn(rng, n, n)
         n_samples = 100000
-        rep = estimate_trace(LinearOperator.from_matrix(a), n_samples, StreamSpec(n, 0))
+        rep = estimate_trace(a, n_samples, StreamSpec(n, 0))
         fro2 = float(np.sum(np.abs(a) ** 2))
         var = (fro2 - abs(np.trace(a)) ** 2 / n) / (n * (n + 1))
         assert 0.97 <= rep.stderr / np.sqrt(var / n_samples) <= 1.03
@@ -294,28 +284,20 @@ class TestEstimateTrace:
     def test_stderr_shrinks_with_samples(self):
         rng = np.random.default_rng(213)
         a = crandn(rng, 8, 8)
-        op = LinearOperator.from_matrix(a)
-        small = estimate_trace(op, 25000, StreamSpec(1, 0))
-        large = estimate_trace(op, 100000, StreamSpec(1, 0))
+        small = estimate_trace(a, 25000, StreamSpec(1, 0))
+        large = estimate_trace(a, 100000, StreamSpec(1, 0))
         assert 0.4 <= large.stderr / small.stderr <= 0.6
 
     def test_rejects_bad_inputs(self):
-        op = LinearOperator.from_matrix(np.eye(2))
         with pytest.raises(ValueError, match="n_samples"):
-            estimate_trace(op, 0, StreamSpec(0, 0))
+            estimate_trace(np.eye(2), 0, StreamSpec(0, 0))
         with pytest.raises(ValueError, match="z must be > 0"):
-            estimate_trace(op, 10, StreamSpec(0, 0), z=0.0)
-        spread = LinearOperator.from_matrix(np.diag([100.0, -100.0]))
+            estimate_trace(np.eye(2), 10, StreamSpec(0, 0), z=0.0)
         with pytest.raises(ValueError, match=r"z = 1e\+308; lower z"):
-            estimate_trace(spread, 50, StreamSpec(0, 0), z=1e308)
+            estimate_trace(np.diag([100.0, -100.0]), 50, StreamSpec(0, 0), z=1e308)
 
     def test_report_fields(self):
-        rep = estimate_trace(
-            LinearOperator.from_matrix(np.eye(3)),
-            50,
-            StreamSpec(4, 2),
-            z=2.5,
-        )
+        rep = estimate_trace(np.eye(3), 50, StreamSpec(4, 2), z=2.5)
         assert rep.dim == 3
         assert rep.sample_count == 50
         assert rep.spec == StreamSpec(4, 2)
@@ -430,9 +412,8 @@ class TestEstimateMatrixTrace:
     def test_exact_and_raw_scaling(self):
         rng = np.random.default_rng(220)
         a = crandn(rng, 5, 5)
-        op = LinearOperator.from_matrix(a)
-        rep = estimate_trace(op, 3000, StreamSpec(8, 0))
-        raw = estimate_trace(op, 3000, StreamSpec(8, 0), raw=True)
+        rep = estimate_trace(a, 3000, StreamSpec(8, 0))
+        raw = estimate_trace(a, 3000, StreamSpec(8, 0), raw=True)
         assert rep.exact == normalized_trace(a)
         assert (raw.mean, raw.stderr, raw.ci_radius, raw.exact) == (
             rep.mean * 5, rep.stderr * 5, rep.ci_radius * 5, rep.exact * 5
@@ -448,7 +429,7 @@ class TestEstimateMatrixTrace:
         # report is scaled back, and each report is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = estimate_trace(LinearOperator.from_matrix(a), samples, StreamSpec(0, 0))
+            rep = estimate_trace(a, samples, StreamSpec(0, 0))
         assert np.isfinite([rep.mean, rep.stderr, rep.ci_radius, rep.exact,
                             rep.rounding_floor]).all()
 
@@ -458,18 +439,17 @@ class TestEstimateMatrixTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="trace estimate overflows float64; rescale"):
-                estimate_trace(LinearOperator.from_matrix(np.full((4, 4), 1e308)), 1,
-                               StreamSpec(1, 0))
+                estimate_trace(np.full((4, 4), 1e308), 1, StreamSpec(1, 0))
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_raw_overflow_asks_to_rescale(self, seed):
         # the one draw's value is finite, near -1.06e308; n times it is not
-        op = LinearOperator.from_matrix(np.diag([1.2e308, -1.2e308]))
+        a = np.diag([1.2e308, -1.2e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(estimate_trace(op, 1, StreamSpec(seed, 0)).mean)
+            assert np.isfinite(estimate_trace(a, 1, StreamSpec(seed, 0)).mean)
             with pytest.raises(ValueError, match="raw trace overflows float64; rescale"):
-                estimate_trace(op, 1, StreamSpec(seed, 0), raw=True)
+                estimate_trace(a, 1, StreamSpec(seed, 0), raw=True)
 
 
 class TestCommutationCheck:
@@ -561,7 +541,7 @@ def test_redraw_in_third_block_matches_whole_chunk_draws(monkeypatch, cpus):
     rng = np.random.default_rng(225)
     a = crandn(rng, n, n)
     b, _ = np.linalg.qr(crandn(rng, n, n))
-    op = LinearOperator.from_matrix(a)
+    op = LinearOperator(a)
 
     def rayleigh(rows):
         return _rayleigh_values(op.apply_batch(rows), rows)
@@ -581,7 +561,7 @@ def test_redraw_in_third_block_matches_whole_chunk_draws(monkeypatch, cpus):
     taken.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = estimate_trace(op, count, spec)
+        report = estimate_trace(a, count, spec)
         sweep = substitution_identity_sweep(a, b, count, spec)
         streamed = [v for _, v in sphere.map_chunks(rayleigh, spec, n, count)]
     assert sum(taken) == 3 * 2 * n * (sphere.CHUNK_SIZE + 1)

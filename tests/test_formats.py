@@ -218,7 +218,9 @@ class TestMatrixMarketErrors:
         ("coordinate real symmetric\n2 2 2\n1 2 1.0\n3 1 1.0\n", "line 4: index out of"),
         ("coordinate real symmetric\n2 2 2\n1 1 nan\n1 2 1.0\n", "line 4: symmetric storage"),
         ("coordinate complex hermitian\n2 2 2\n1 1 1 1\n2 1 inf 0\n", "line 4: non-finite"),
-    ], ids=["grammar", "count", "index", "row-column", "non-finite"])
+        # a short file too: its one line, outside the grammar, comes first
+        ("array real general\n2 2\nabc\n", "line 3: expected one real number"),
+    ], ids=["grammar", "count", "index", "row-column", "non-finite", "grammar-short"])
     def test_faults_reported_by_kind(self, text, line):
         with pytest.raises(MatrixMarketError, match="^" + line):
             parse_matrix_market("%%MatrixMarket matrix " + text)

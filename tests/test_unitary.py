@@ -5,7 +5,7 @@ import pytest
 
 from tracekit import unitary
 from tracekit.linalg import hermitian_eigh
-from tracekit.sphere import StreamSpec
+from tracekit.sphere import GaussianStream, StreamSpec, gaussian_matrix
 from tracekit.unitary import (
     decompose_into_unitaries,
     determinant,
@@ -243,8 +243,8 @@ class TestSolveCount:
 
     def test_seeded_unitary_solves_once(self, solves):
         seeded_unitary(StreamSpec(5, 7), 6)
-        # the second call gets the exactly zero anti-Hermitian part
-        assert [bool(h.any()) for h in solves] == [True, False]
+        # H alone is solved, not the exactly zero anti-Hermitian part of H
+        assert [bool(h.any()) for h in solves] == [True]
 
 
 class TestSeededUnitary:
@@ -261,6 +261,21 @@ class TestSeededUnitary:
         u = seeded_unitary(StreamSpec(5, 7), n)
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
         assert np.array_equal(u, seeded_unitary(StreamSpec(5, 7), n))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 33])
+    def test_bytes_match_the_first_term_of_the_decomposition(self, n):
+        # the reference is the decomposition of H, which solves H once more
+        for seed in range(4):
+            spec = StreamSpec(seed, 2**48)
+            h = hermitian_parts(gaussian_matrix(GaussianStream(spec), n))[0]
+            u = seeded_unitary(spec, n)
+            assert u.tobytes() == decompose_into_unitaries(h).unitaries[0].tobytes()
+
+    def test_zero_part_gives_a_unitary(self, monkeypatch):
+        # H = 0 needs all 2n^2 normals to be 0; its unitary is then -i I
+        monkeypatch.setattr(unitary, "gaussian_matrix", lambda stream, n: np.zeros((n, n), complex))
+        assert np.array_equal(seeded_unitary(StreamSpec(0, 0), 3), -1j * np.eye(3))
 
 
 class TestDeterminant:
