@@ -5,7 +5,8 @@ All randomness derives from --seed through the substream layout, so a
 repeated invocation with identical flags and inputs produces
 byte-identical output (fixed JSON key order, floats at 17 significant
 digits).  Exit codes: 0 success, 1 usage or input error, 2 numerical
-check failed.
+check failed.  Each cmd_* returns (report text, whether its check passed);
+main alone writes the report and picks the exit code.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     base.add_argument("--output", metavar="PATH",
                       help="write the report here instead of stdout")
     matrix = argparse.ArgumentParser(add_help=False)
-    matrix.add_argument("matrix", help="path to the input matrix")
-    matrix.add_argument("--format", choices=("mm", "json"), default="mm",
-                        help="matrix file format (default mm)")
+    matrix.add_argument("matrix", help="path to the input matrix: JSON if its first "
+                        "non-blank character is '[', else Matrix Market")
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=_positive_int, default=100000,
                          help="number of sphere draws (default 100000)")
@@ -104,9 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the unitary change of variables on random draws")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--unitary", metavar="PATH",
-                        help="path to the unitary B, in the format of the matrix")
+                        help="path to the unitary B")
     source.add_argument("--random-unitary", action="store_true",
-                        help="draw B from a seeded decomposition")
+                        help="draw a seeded random unitary B")
     p.set_defaults(func=cmd_check_invariance)
 
     p = sub.add_parser("sample", parents=[base],
@@ -119,33 +119,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(path: str, fmt: str) -> np.ndarray:
+def _load_matrix(path: str) -> np.ndarray:
     try:  # a check-invariance fault must say which of its two files it is in
-        text = Path(path).read_text()
-        parsed = parse_matrix_market(text) if fmt == "mm" else parse_json_dense(text)
+        text = Path(path).read_text(encoding="utf-8")
+        # a Matrix Market file opens with its header, never with "["
+        json_text = text.lstrip(" \t\n\r").startswith("[")
+        parsed = parse_json_dense(text) if json_text else parse_matrix_market(text)
     except ValueError as exc:  # UnicodeDecodeError among them
         raise ValueError(f"matrix file {path!r}: {exc}") from None
     return as_matrix(parsed, f"matrix file {path!r}")
 
 
-def _emit(text: str, args) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_estimate(args) -> int:
-    a = _load_matrix(args.matrix, args.format)
+def cmd_estimate(args) -> tuple[str, bool]:
+    a = _load_matrix(args.matrix)
     report = estimate_trace(a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw)
-    _emit(write_report_json(report), args)
-    if args.no_check:
-        return 0
-    return 0 if report.abs_error() <= max(report.ci_radius, report.rounding_floor) else 2
+    passed = report.abs_error() <= max(report.ci_radius, report.rounding_floor)
+    return write_report_json(report), passed or args.no_check
 
 
-def cmd_decompose(args) -> int:
-    a = _load_matrix(args.matrix, args.format)
+def cmd_decompose(args) -> tuple[str, bool]:
+    a = _load_matrix(args.matrix)
     dec = decompose_into_unitaries(a, det_one=args.det_one)
     doc = {
         "n": dec.dim,
@@ -160,13 +153,11 @@ def cmd_decompose(args) -> int:
         "reconstruction_residual": dec.reconstruction_residual,
         "unitarity_residual": dec.unitarity_residual,
     }
-    _emit(dumps(doc) + "\n", args)
-    ok = (dec.reconstruction_residual <= dec.reconstruction_bound
-          and dec.unitarity_residual <= dec.unitarity_bound)
-    return 0 if ok else 2
+    return dumps(doc) + "\n", (dec.reconstruction_residual <= dec.reconstruction_bound
+                                and dec.unitarity_residual <= dec.unitarity_bound)
 
 
-def cmd_uniqueness(args) -> int:
+def cmd_uniqueness(args) -> tuple[str, bool]:
     solution = solve_unique_functional(args.dim)
     doc = {
         "dim": solution.dim,
@@ -174,18 +165,17 @@ def cmd_uniqueness(args) -> int:
         "nullspace_dim": solution.nullspace_dim,
         "residual": solution.residual,
     }
-    _emit(dumps(doc) + "\n", args)
     # the values are read off exactly, so the gate is exact too
     exact = np.array_equal(solution.values, np.eye(args.dim) / args.dim)
-    return 0 if exact and solution.nullspace_dim == 1 else 2
+    return dumps(doc) + "\n", exact and solution.nullspace_dim == 1
 
 
-def cmd_check_invariance(args) -> int:
-    a = _load_matrix(args.matrix, args.format)
+def cmd_check_invariance(args) -> tuple[str, bool]:
+    a = _load_matrix(args.matrix)
     if args.random_unitary:
         b = seeded_unitary(StreamSpec(args.seed, CHUNK_OFFSET_PROBES), a.shape[0])
     else:
-        b = _load_matrix(args.unitary, args.format)
+        b = _load_matrix(args.unitary)
     max_gap, unitarity, bound = substitution_identity_sweep(
         a, b, args.samples, StreamSpec(args.seed, 0)
     )
@@ -197,14 +187,12 @@ def cmd_check_invariance(args) -> int:
         "unitarity_residual": unitarity,
         "seed": args.seed,
     }
-    _emit(dumps(doc) + "\n", args)
-    return 0 if max_gap <= bound else 2
+    return dumps(doc) + "\n", max_gap <= bound
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[str, bool]:
     vectors = sample_unit_vectors_chunked(StreamSpec(args.seed, 0), args.dim, args.count)
-    _emit(write_json_dense(vectors), args)
-    return 0
+    return write_json_dense(vectors), True
 
 
 def main(argv=None) -> int:
@@ -214,13 +202,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        text, passed = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

@@ -43,10 +43,13 @@ def hermitian_parts(a) -> Tuple[np.ndarray, np.ndarray]:
                  for h in ((s + ss) / 2.0, (s - ss) / 2j))
 
 
-def _phase_unitary(w, q) -> np.ndarray:
-    """Q diag(lam - i sqrt(1 - lam^2)) Q* with lam = w clipped to [-1, 1]."""
-    lam = np.clip(w, -1.0, 1.0)
-    return np.ascontiguousarray((q * (lam - 1j * np.sqrt(1.0 - lam * lam))) @ np.conj(q).T)
+def _part_unitary(h) -> Tuple[float, np.ndarray]:
+    """(||h||, U) from one solve h = Q diag(w) Q*: U = Q diag(lam - i sqrt(1 - lam^2)) Q*
+    with lam = w / ||h|| clipped to [-1, 1]; h = 0 gives U = -i I."""
+    w, q = hermitian_eigh(h)
+    norm = float(max(abs(w[0]), abs(w[-1])))
+    lam = np.clip(w / (norm or 1.0), -1.0, 1.0)
+    return norm, np.ascontiguousarray((q * (lam - 1j * np.sqrt(1.0 - lam * lam))) @ np.conj(q).T)
 
 
 @dataclass
@@ -94,11 +97,9 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     coeffs: List[complex] = []
     units: List[np.ndarray] = []
     for h, front in ((h1, 1.0 + 0j), (h2, 1j)):
-        w, q = hermitian_eigh(h)
-        norm = float(max(abs(w[0]), abs(w[-1])))
+        norm, u = _part_unitary(h)
         if norm == 0.0:
             continue
-        u = _phase_unitary(w / norm, q)
         half = front * (norm / 2.0)
         coeffs.extend([half, half])
         units.extend([u, np.ascontiguousarray(np.conj(u).T)])
@@ -124,10 +125,8 @@ def seeded_unitary(spec: StreamSpec, n: int) -> np.ndarray:
     """A random n x n unitary from the substream at `spec`: the phase unitary
     of H, the Hermitian part of gaussian_matrix, from one solve H = Q diag(w) Q*
     and the phases of w / ||H||; bitwise the first term of decompose_into_unitaries(H)."""
-    h = hermitian_parts(gaussian_matrix(GaussianStream(spec), n))[0]
-    w, q = hermitian_eigh(h)
-    norm = float(max(abs(w[0]), abs(w[-1])))
-    return _phase_unitary(w / (norm or 1.0), q)  # H = 0 only if all 2n^2 normals are 0
+    # H = 0 only if all 2n^2 normals are 0
+    return _part_unitary(hermitian_parts(gaussian_matrix(GaussianStream(spec), n))[0])[1]
 
 
 def determinant(a) -> complex:

@@ -37,6 +37,16 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+FLAG = r"(?<![\w-])--[a-z][a-z-]*"
+
+
+def help_flags(capsys, command):
+    """The set of flags that `tracekit <command> --help` lists."""
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    return set(re.findall(FLAG, out))
+
+
 @pytest.fixture
 def identity_file(tmp_path):
     path = tmp_path / "eye.mm"
@@ -124,9 +134,15 @@ class TestEstimate:
     def test_json_input_format(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
         path.write_text(write_json_dense(np.eye(2)))
-        code, out, _ = run(
-            capsys, "estimate", str(path), "--format", "json", "--samples", "10"
-        )
+        code, out, _ = run(capsys, "estimate", str(path), "--samples", "10")
+        assert code == 0
+        assert json.loads(out)["mean"] == [1.0, 0.0]
+
+    def test_json_after_leading_whitespace(self, capsys, tmp_path):
+        # the file gives its format: JSON when its first non-blank character is "["
+        path = tmp_path / "eye.txt"
+        path.write_text(" \t\r\n" + write_json_dense(np.eye(2)))
+        code, out, _ = run(capsys, "estimate", str(path), "--samples", "10")
         assert code == 0
         assert json.loads(out)["mean"] == [1.0, 0.0]
 
@@ -173,7 +189,7 @@ class TestEstimate:
         # an input error, not a failed numerical check
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)
-        code, _, err = run(capsys, "estimate", str(path), "--format", "json")
+        code, _, err = run(capsys, "estimate", str(path))
         assert code == 1
         assert "nested too deeply" in err
 
@@ -181,7 +197,7 @@ class TestEstimate:
         # an input error, not a failed numerical check
         path = tmp_path / "big.json"
         path.write_text("[[[1" + "0" * 400 + ", 0]]]")
-        code, out, err = run(capsys, "estimate", str(path), "--format", "json")
+        code, out, err = run(capsys, "estimate", str(path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: matrix file {str(path)!r}: "
                               "entry (0, 0)[0]: non-finite value")
@@ -500,6 +516,17 @@ class TestCheckInvariance:
         assert doc["max_gap"] == 0.0
         assert doc["unitarity_residual"] == 0.0
 
+    def test_unitary_in_the_other_format(self, capsys, random_file, tmp_path):
+        # each file gives its own format, so A and B may differ in it
+        upath = tmp_path / "u.json"
+        upath.write_text(write_json_dense(np.eye(4)))
+        code, out, _ = run(
+            capsys, "check-invariance", random_file,
+            "--unitary", str(upath), "--samples", "500",
+        )
+        assert code == 0
+        assert json.loads(out)["max_gap"] == 0.0
+
     def test_diagonal_phase_unitary(self, capsys, tmp_path):
         rng = np.random.default_rng(602)
         apath = tmp_path / "a2.mm"
@@ -603,6 +630,7 @@ class TestUsage:
         ("estimate", "A.mm", "--trusted"),
         ("decompose", "A.mm", "--tolerance", "1e-10"),
         ("check-invariance", "A.mm", "--random-unitary", "--tolerance", "1e-10"),
+        ("estimate", "A.mm", "--format", "json"),
     ])
     def test_flag_of_another_subcommand_rejected(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -610,17 +638,24 @@ class TestUsage:
 
     def test_help_lists_only_read_flags(self, capsys):
         own = {
-            "estimate": {"--format", "--samples", "--z", "--raw", "--no-check"},
-            "decompose": {"--format", "--det-one"},
+            "estimate": {"--samples", "--z", "--raw", "--no-check"},
+            "decompose": {"--det-one"},
             "uniqueness": {"--dim"},
-            "check-invariance": {"--format", "--samples", "--unitary", "--random-unitary"},
+            "check-invariance": {"--samples", "--unitary", "--random-unitary"},
             "sample": {"--dim", "--count"},
         }
         for command, flags in own.items():
-            code, out, _ = run(capsys, command, "--help")
-            assert code == 0
-            listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
-            assert listed == flags | {"--help", "--seed", "--output"}, command
+            assert help_flags(capsys, command) == flags | {"--help", "--seed", "--output"}, command
+
+    def test_readme_table_lists_the_help_flags(self, capsys):
+        # the flag table under "Command line" in README.md, one row per subcommand
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.MULTILINE))
+        assert set(rows) == {"estimate", "decompose", "uniqueness", "check-invariance", "sample"}
+        for command, row in rows.items():
+            expected = help_flags(capsys, command) - {"--help", "--seed", "--output"}
+            assert set(re.findall(FLAG, row)) == expected, command
 
     def test_bad_flag_values(self, capsys):
         assert run(capsys, "sample", "--dim", "2", "--seed", "-1")[0] == 1
@@ -656,6 +691,19 @@ def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False False False False\n"
+
+
+def test_files_are_utf_8_in_every_locale(tmp_path):
+    # under warn_default_encoding a read or write in the locale's encoding
+    # raises EncodingWarning; tracekit reads and writes UTF-8 throughout
+    matrix = tmp_path / "a.mm"
+    matrix.write_text(write_matrix_market(np.eye(2)))
+    argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "tracekit.cli", "estimate", str(matrix), "--samples", "10",
+            "--output", str(tmp_path / "r.json")]
+    result = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["mean"] == [1.0, 0.0]
 
 
 def test_sample_bytes_do_not_depend_on_the_blas_kernel():

@@ -232,7 +232,7 @@ def test_cli_on_json_exits_with_a_documented_code(text, argv):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), "--format", "json", *argv[1:]])
+            code = main([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error:")
