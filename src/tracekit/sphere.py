@@ -16,7 +16,8 @@ A unit vector in C^n consumes exactly 2n words: entry k is built from
 words (2k, 2k+1) as (real, imag), then the vector is divided by its
 Euclidean norm.  Rotation invariance of the Gaussian makes the result
 uniform on the sphere.  A normal is 0 only for top 53 bits 2**52, and at
-least ~1.39e-16 otherwise; a row whose 2n normals are all 0 is redrawn.
+least ~1.39e-16 otherwise; a row whose 2n normals are all 0 (odds
+2**-106n) has no direction, and the draw raises RuntimeError.
 
 Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
 sample j of a run based at stream_index b is drawn from stream
@@ -109,11 +110,8 @@ class GaussianStream:
 
         raw = self.raw_words(count)
         raw >>= _U64(11)
-        if out is None:
-            u = raw.astype(np.float64)
-        else:
-            u = out
-            u[...] = raw
+        u = np.empty(count) if out is None else out
+        u[...] = raw
         u += 0.5
         u *= 2.0**-53
         np.minimum(u, _U_MAX, out=u)
@@ -134,49 +132,38 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(z.real * z.real + z.imag * z.imag, axis=-1))
 
 
-def _unit_rows(stream: GaussianStream, n: int, rows: int, out=None):
-    """The next `rows` unit vectors of `stream` as a (rows, n) view of `out`
-    (2*n*rows float64, or new), and the indices of the rows whose 2*n
-    normals are all exactly zero: those are left 0, to be redrawn."""
-    flat = stream.gaussians(2 * n * rows, out=out)
-    x = flat.view(np.complex128).reshape(rows, n)
+def _unit_rows(stream: GaussianStream, n: int, out: np.ndarray) -> np.ndarray:
+    """The next unit vectors of `stream`, 2*n words each, drawn into the 1-d
+    float64 array `out` and returned as a (rows, n) view of it.  Raises
+    RuntimeError on a row whose 2*n normals are all exactly zero."""
+    x = stream.gaussians(out.size, out=out).view(np.complex128).reshape(-1, n)
     norms = _row_norms(x)
-    zero = np.flatnonzero(norms == 0.0)
-    norms[zero] = np.inf  # 1 / inf = 0 keeps such a row 0
+    if not norms.all():
+        raise RuntimeError("the sampler drew a row of zero normals; no unit vector")
     # spelled out as a multiply by 1 / norm: numpy divides complex by real
     # as (re + im*0) * (1/d), (im - re*0) * (1/d), which differs from this
     # only on an entry of -0.0, and ndtri yields +0.0, never -0.0
-    parts = flat.reshape(rows, 2 * n)  # a view of x
+    parts = out.reshape(-1, 2 * n)  # a view of x
     parts *= (1.0 / norms)[:, None]
-    return x, zero
+    return x
 
 
 def _map_rows(fn, stream: GaussianStream, n: int, count: int) -> np.ndarray:
     """fn of the sample_unit_vectors(stream, n, count) draw, _BLOCK_ROWS rows
-    at a time: row r of the result is fn's row for draw r.  A row whose
-    normals are all zero is passed to fn as 0; once such rows are redrawn,
-    after all 2*n*count words, only their results are replaced."""
+    at a time: row r of the result is fn's row for draw r, from exactly its
+    2*n words.  A row whose normals are all zero raises (see _unit_rows)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     block = np.empty(2 * n * min(count, _BLOCK_ROWS))  # reused by every block
-    values, zeros = None, []
+    values = None
     for lo in range(0, max(count, 1), _BLOCK_ROWS):  # count 0: one empty block
         hi = min(lo + _BLOCK_ROWS, count)
-        x, zero = _unit_rows(stream, n, hi - lo, block[:2 * n * (hi - lo)])
-        rows = fn(x)
+        rows = fn(_unit_rows(stream, n, block[:2 * n * (hi - lo)]))
         if values is None:
             values = np.empty((count, *rows.shape[1:]), dtype=rows.dtype)
         values[lo:hi] = rows
-        zeros.append(lo + zero)
-    redraw = np.concatenate(zeros)
-    while redraw.size:
-        x, zero = _unit_rows(stream, n, redraw.size)
-        # numpy multiplies a single row through gemv, whose bits can differ
-        # from the same row of a block's gemm, so fn sees at least two rows
-        values[redraw] = fn(x if redraw.size > 1 else np.concatenate([x, x]))[:redraw.size]
-        redraw = redraw[zero]
     return values
 
 
@@ -187,10 +174,9 @@ def _identity(x: np.ndarray) -> np.ndarray:
 def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarray:
     """Draw `count` unit vectors as the rows of a (count, n) complex array.
 
-    Consumes exactly 2*n words per vector, plus 2*n per redraw of a row
-    whose 2*n normals are all exactly zero; redraws come after all
-    2*n*count words.  Each row is multiplied by 1 / sqrt(sum(re^2 + im^2))
-    of its entries.
+    Consumes exactly 2*n words per vector, so any split into batches gives
+    the same rows.  Each row is multiplied by 1 / sqrt(sum(re^2 + im^2)) of
+    its entries; a row of 2*n zero normals raises RuntimeError.
     """
     return _map_rows(_identity, stream, n, count)
 
@@ -223,22 +209,20 @@ def map_chunks(fn, spec: StreamSpec, n: int, count: int):
     (hi - lo, n) sample_unit_vectors draw from its substream.
 
     fn maps a (rows, n) array of draws to one result per row, each from
-    its own row alone.  It is called on blocks of 512 rows, drawn into a
-    buffer the chunk reuses, and again on redrawn rows (see _map_rows),
-    with numpy's overflow and invalid-value warnings off: a row of zeros
-    waiting for its redraw can give a 0 / 0 that the redraw replaces.
+    its own row alone.  It is called once on each block of 512 rows,
+    drawn from exactly 2*n words per vector into a buffer the chunk
+    reuses; numpy warnings from fn are not silenced.
 
     Chunks run on a pool of one thread per CPU this process may use, at
     most two per thread ahead of the consumer, so fn must be thread-safe.
     With one CPU or one chunk they run serially, in the caller's thread;
     narrowing the CPU affinity (taskset -c 0, os.sched_setaffinity) gets
-    that for any run.  An exception from fn is raised when its chunk's
-    result is reached.
+    that for any run.  An exception from fn or from the sampler is raised
+    when its chunk's result is reached.
     """
     def run(chunk):
         lo, hi, substream = chunk
-        with np.errstate(over="ignore", invalid="ignore"):
-            return lo, _map_rows(fn, GaussianStream(substream), n, hi - lo)
+        return lo, _map_rows(fn, GaussianStream(substream), n, hi - lo)
 
     layout = chunk_layout(spec, count)
     threads = min(_cpus(), -(-count // CHUNK_SIZE))

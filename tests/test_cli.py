@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tracekit
-from tracekit import cli
+from tracekit import cli, uniqueness
 from tracekit.cli import main
 from tracekit.formats import (
     complex_pair,
@@ -23,6 +23,7 @@ from tracekit.formats import (
     write_matrix_market,
 )
 from tracekit.linalg import hermitian_eigh, matrix_unit
+from tracekit.sphere import StreamSpec
 from tracekit.uniqueness import _MAX_DIM
 from tracekit.unitary import decompose_into_unitaries, determinant
 
@@ -269,6 +270,14 @@ class TestEstimate:
         assert code == 1
         assert "square" in err
 
+    def test_zero_sampler_row_exits_2_with_one_line(self, capsys, random_file, zero_rows):
+        # from row 100 of chunk 1 on, every word of substream (0, 1) is 2**63
+        # and every row 0: a row with no direction gives no report
+        zero_rows(StreamSpec(0, 1), 4, 100, 4 * 2 * 4 * 9000)
+        code, out, err = run(capsys, "estimate", random_file, "--samples", "9000")
+        assert code == 2 and out == ""
+        assert err == "error: the sampler drew a row of zero normals; no unit vector\n"
+
     def test_repeat_invocations_byte_identical(self, capsys, random_file):
         args = ("estimate", random_file, "--seed", "9", "--samples", "5000")
         _, first, _ = run(capsys, *args)
@@ -437,6 +446,15 @@ class TestUniqueness:
         assert doc["nullspace_dim"] == 1
         pairs = np.array(doc["solution"])
         assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], np.eye(_MAX_DIM) / _MAX_DIM)
+
+    def test_two_free_components_exit_2_with_one_line(self, capsys, monkeypatch):
+        # a solution space of dimension 2 leaves f undetermined: no report
+        monkeypatch.setattr(uniqueness, "_components",
+                            lambda system: (np.arange(9), np.array([0, 4])))
+        code, out, err = run(capsys, "uniqueness", "--dim", "3")
+        assert code == 2 and out == ""
+        assert err == ("error: homogeneous tracial system has nullspace dimension 2, "
+                       "expected 1\n")
 
     def test_byte_identical(self, capsys):
         _, first, _ = run(capsys, "uniqueness", "--dim", "4")

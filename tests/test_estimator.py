@@ -510,30 +510,26 @@ class TestCommutationCheck:
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_redraw_in_third_block_matches_whole_chunk_draws(monkeypatch, cpus):
-    # the words of row 1100 of chunk 1 (in its third 512-row block) are all
-    # 2**63, whose normals are exactly 0, so that row is redrawn from the
-    # words after the chunk's 2n * 4096; estimate and sweep must equal their
-    # values on the whole-chunk draws of sample_unit_vectors, block by block
-    n, count, row = 8, 3 * sphere.CHUNK_SIZE + 100, 1100
+def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
+    # estimate and sweep evaluate their draws in 512-row blocks on the pool;
+    # their values must equal those of the whole-chunk draws of
+    # sample_unit_vectors, block by block, and chunk 1 gives each run its
+    # 2n * 4096 words
+    n, count = 8, 3 * sphere.CHUNK_SIZE + 100
     spec = StreamSpec(41, 0)
-    stubbed = spec.offset(1)
+    counted = spec.offset(1)
     original = GaussianStream.raw_words
     taken = []
 
     def raw_words(self, k):
-        words = original(self, k)
-        if self.spec == stubbed:
-            start = self.__dict__.setdefault("words_taken", 0)
-            self.words_taken += k
+        if self.spec == counted:
             taken.append(k)
-            words[max(2 * n * row - start, 0):max(2 * n * (row + 1) - start, 0)] = 2**63
-        return words
+        return original(self, k)
 
     monkeypatch.setattr(GaussianStream, "raw_words", raw_words)
     draws = [sample_unit_vectors(GaussianStream(substream), n, hi - lo)
              for lo, hi, substream in sphere.chunk_layout(spec, count)]
-    assert sum(taken) == 2 * n * (sphere.CHUNK_SIZE + 1)  # one redraw
+    assert sum(taken) == 2 * n * sphere.CHUNK_SIZE
 
     def by_blocks(fn, x):
         return np.concatenate([fn(x[b:b + 512]) for b in range(0, len(x), 512)])
@@ -564,7 +560,24 @@ def test_redraw_in_third_block_matches_whole_chunk_draws(monkeypatch, cpus):
         report = estimate_trace(a, count, spec)
         sweep = substitution_identity_sweep(a, b, count, spec)
         streamed = [v for _, v in sphere.map_chunks(rayleigh, spec, n, count)]
-    assert sum(taken) == 3 * 2 * n * (sphere.CHUNK_SIZE + 1)
+    assert sum(taken) == 3 * 2 * n * sphere.CHUNK_SIZE
     assert [v.tobytes() for v in streamed] == [v.tobytes() for v in values]
     assert (report.mean, report.stderr) == (total.mean, total.stderr())
     assert sweep[0] == max(float(np.max(by_blocks(gaps, z))) for z in draws)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_zero_row_in_chunk_1_raises(zero_rows, monkeypatch, cpus):
+    # from row 1100 of chunk 1 on, every word is 2**63 and every row 0: a
+    # row with no direction is no sphere draw, so both runs raise
+    n, count = 8, 3 * sphere.CHUNK_SIZE + 100
+    spec = StreamSpec(41, 0)
+    rng = np.random.default_rng(227)
+    a = crandn(rng, n, n)
+    b, _ = np.linalg.qr(crandn(rng, n, n))
+    monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
+    for run in (lambda: estimate_trace(a, count, spec),
+                lambda: substitution_identity_sweep(a, b, count, spec)):
+        zero_rows(spec.offset(1), n, 1100, 4 * 2 * n * count)
+        with pytest.raises(RuntimeError, match="^the sampler drew a row of zero normals"):
+            run()

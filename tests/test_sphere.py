@@ -197,30 +197,16 @@ def test_multiply_by_inverse_norm_is_the_division_bitwise(n, monkeypatch):
     assert got.tobytes() == _one_batch(words, n).tobytes()
 
 
-def test_underflow_in_later_block_redraws_after_whole_chunk(monkeypatch):
+def test_zero_row_in_later_block_raises(zero_rows):
     # the word 2**63 maps to u = 0.5, whose normal is exactly 0; a row made
-    # of it has norm 0 and is redrawn from the words after all 2n * count
-    n, count = 3, sphere._BLOCK_ROWS + 40
-    row = sphere._BLOCK_ROWS + 7
+    # of it has norm 0 and no direction, so the draw raises at the block
+    # that holds it and takes no word past that block
+    n, count = 3, 3 * sphere._BLOCK_ROWS
     spec = StreamSpec(13, 0)
-    words = GaussianStream(spec).raw_words(2 * n * (count + 1))
-    stub_words = words.copy()
-    stub_words[2 * n * row:2 * n * (row + 1)] = 2**63
-    stream = GaussianStream(spec)
-    taken = []
-
-    def raw_words(k):
-        start = sum(taken)
-        taken.append(k)
-        return stub_words[start:start + k].copy()
-
-    monkeypatch.setattr(stream, "raw_words", raw_words)
-    got = sample_unit_vectors(stream, n, count)
-    assert sum(taken) == 2 * n * (count + 1)
-    assert taken[-1] == 2 * n  # the redraw comes last, after every block
-    expected = _one_batch(words[:2 * n * count], n)
-    expected[row] = _one_batch(words[2 * n * count:], n)[0]
-    assert got.tobytes() == expected.tobytes()
+    taken = zero_rows(spec, n, sphere._BLOCK_ROWS + 7, 4 * 2 * n * count)
+    with pytest.raises(RuntimeError, match="^the sampler drew a row of zero normals"):
+        sample_unit_vectors(GaussianStream(spec), n, count)
+    assert sum(taken) == 2 * n * 2 * sphere._BLOCK_ROWS
 
 
 def test_single_vector_matches_first_of_batch():
@@ -300,7 +286,10 @@ class TestChunkedLayout:
         ]
         for cpus in (1, 2, 5):
             monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
-            got = list(sphere.map_chunks(lambda x: x, spec, n, count))
+            blocks = []  # one append per call is safe across threads
+            got = list(sphere.map_chunks(lambda x: blocks.append(len(x)) or x, spec, n, count))
+            # fn sees each chunk once, in blocks of 512 rows and a last short one
+            assert sorted(blocks) == sorted([512] * (6 * CHUNK // 512) + [100])
             assert [lo for lo, _ in got] == [lo for lo, _ in layout]
             assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(got, layout))
 
