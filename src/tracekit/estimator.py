@@ -241,10 +241,15 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     ba_t = (bm @ s).T
 
     def gaps(z: np.ndarray) -> np.ndarray:
-        # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z
+        # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z;
+        # two block-sized buffers, x and p, hold every product in turn
         x = z @ b_conj
-        lhs = np.sum((x @ ab_t) * np.conj(x), axis=1)
-        rhs = np.sum((z @ ba_t) * np.conj(z), axis=1)
+        p = x @ ab_t
+        p *= np.conj(x, out=x)
+        lhs = np.sum(p, axis=1)
+        np.matmul(z, ba_t, out=p)
+        p *= np.conj(z, out=x)
+        rhs = np.sum(p, axis=1)
         return np.abs(lhs - rhs)
 
     n = am.shape[0]

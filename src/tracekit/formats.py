@@ -22,6 +22,7 @@ were formatted itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -77,6 +78,35 @@ def _lines_of(*tokens: str) -> re.Pattern:
     return re.compile(rf"(?:(?=({line}(?:\n|\Z)))\1)*")
 
 
+# the separators of _SPACE that np.fromstring does not split at, unlike str.split()
+_TO_SPACE = str.maketrans("\x1c\x1d\x1e\x1f", "    ")
+
+
+def _is_body(raw: str) -> bool:
+    """A size or data line: neither blank nor a comment."""
+    return bool(line := raw.lstrip()) and line[0] != "%"
+
+
+def _body(text: str, start: int) -> list:
+    """(number, line) of each body line of `text` after line `start`."""
+    return [(n, raw) for n, raw in enumerate(text.split("\n")[start:], start + 1) if _is_body(raw)]
+
+
+def _integer(token: str) -> int:
+    """int(token) of an _INT token, read without its leading zeros, which
+    int() would count against its digit limit (sys.get_int_max_str_digits)."""
+    digits = token.lstrip("+-").lstrip("0") or "0"
+    return -int(digits) if token[0] == "-" else int(digits)
+
+
+def _decimal(k: int) -> str:
+    """str(k), or its power of ten where str() refuses to write that many digits."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"~10**{int(math.log10(k))}"
+
+
 def parse_matrix_market(text) -> np.ndarray:
     """Parse Matrix Market text into a dense complex (rows, cols) array.
 
@@ -96,6 +126,10 @@ def parse_matrix_market(text) -> np.ndarray:
     count, an index out of range, an entry above the diagonal of
     symmetric storage, a non-finite value, a hermitian diagonal entry
     with an imaginary part; within a kind, the first line in the file.
+
+    Transient memory is about 4x the text (it was 9x): the list of lines
+    is dropped once the data lines are joined into one string, and that
+    string is converted in one numpy call, with no Python object per number.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -103,7 +137,9 @@ def parse_matrix_market(text) -> np.ndarray:
         raise MatrixMarketError("line 1: empty input, expected %%MatrixMarket header")
     # lines end at "\n" only: str.splitlines also breaks at \x0b, \x0c,
     # \x1c-\x1e, \x85, \u2028 and \u2029, turning one data line into several
-    lines = text.removesuffix("\n").split("\n")
+    lines = text.split("\n")
+    if text[-1] == "\n":  # it ends the last line and starts none
+        lines.pop()
     header = lines[0].split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket":
         raise MatrixMarketError(
@@ -119,12 +155,11 @@ def parse_matrix_market(text) -> np.ndarray:
     if symmetry not in ("general", "symmetric", "hermitian"):
         raise MatrixMarketError(f"line 1: unsupported symmetry {symmetry!r}")
 
-    # numbers of the size and data lines: all but blank and comment lines
-    body = [n for n, raw in enumerate(lines[1:], 2)
-            if (line := raw.strip()) and line[0] != "%"]
-    if not body:
+    # the size line is the first body line, and the data lines are the rest
+    number = next((n for n, raw in enumerate(itertools.islice(lines, 1, None), 2)
+                   if _is_body(raw)), None)
+    if number is None:
         raise MatrixMarketError(f"line {len(lines)}: missing size line")
-    number = body[0]
     size_line = lines[number - 1]
     tokens = size_line.split()
     want_size = 3 if fmt == "coordinate" else 2
@@ -134,7 +169,10 @@ def parse_matrix_market(text) -> np.ndarray:
         )
     if not _lines_of(*[_INT] * want_size).fullmatch(size_line):
         raise MatrixMarketError(f"line {number}: bad size line {size_line.strip()!r}")
-    sizes = [int(tok) for tok in tokens]
+    try:
+        sizes = [_integer(tok) for tok in tokens]
+    except ValueError:  # past int()'s digit limit without its leading zeros
+        raise MatrixMarketError(f"line {number}: size out of range") from None
     rows, cols = sizes[0], sizes[1]
     if rows < 1 or cols < 1:
         raise MatrixMarketError(f"line {number}: sizes must be >= 1, got {rows} x {cols}")
@@ -153,15 +191,19 @@ def parse_matrix_market(text) -> np.ndarray:
         if dense_bytes > MAX_DENSE_BYTES:
             raise MatrixMarketError(
                 f"line {number}: a dense {rows} x {cols} complex matrix needs "
-                f"{dense_bytes} bytes, above the limit of {MAX_DENSE_BYTES}"
+                f"{_decimal(dense_bytes)} bytes, above the limit of {MAX_DENSE_BYTES}"
             )
 
-    numbers = body[1:]
+    kept = list(filter(_is_body, itertools.islice(lines, number, None)))
+    found = len(kept)
+    data = "\n".join(kept)
+    del lines, kept  # from here on the data is held once, as one string
 
     def fault(k: int, problem: str) -> MatrixMarketError:
-        return MatrixMarketError(f"line {numbers[k]}: {problem}: {lines[numbers[k] - 1]!r}")
+        # the data lines are numbered again from the text: only a fault pays
+        n, raw = _body(text, number)[k]
+        return MatrixMarketError(f"line {n}: {problem}: {raw!r}")
 
-    data = "\n".join([lines[n - 1] for n in numbers])
     complex_field = field == "complex"
     value = _INT if field == "integer" else _REAL
     grammar = [_INT, _INT] if fmt == "coordinate" else []
@@ -172,17 +214,20 @@ def parse_matrix_market(text) -> np.ndarray:
         entry = {"real": "one real number", "integer": "one integer",
                  "complex": "two real numbers"}[field]
         raise fault(data.count("\n", 0, end), f"expected {indices}{entry}")
-    if len(numbers) > expected:
+    if found > expected:
         raise MatrixMarketError(
-            f"line {numbers[expected]}: extra data, expected {expected} entries"
+            f"line {_body(text, number)[expected][0]}: extra data, expected {expected} entries"
         )
-    if len(numbers) < expected:
+    if found < expected:
         raise MatrixMarketError(
-            f"line {numbers[-1] if numbers else number}: "
-            f"expected {expected} entries, found {len(numbers)}"
+            f"line {_body(text, number)[-1][0] if found else number}: "
+            f"expected {_decimal(expected)} entries, found {found}"
         )
 
-    values = np.array(data.split(), dtype=np.float64).reshape(expected, len(grammar))
+    # the grammar has matched, so every token is a number that np.fromstring
+    # reads with float()'s bits, and no line is blank: fromstring(" ") is [-1.0]
+    values = np.fromstring(data.translate(_TO_SPACE), dtype=np.float64, sep=" ")
+    values = values.reshape(expected, len(grammar))
     if fmt == "coordinate":
         i, j = values[:, 0] - 1, values[:, 1] - 1
         values = values[:, 2:]

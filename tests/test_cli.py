@@ -245,7 +245,8 @@ class TestEstimate:
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", "line 3"),
-    ], ids=["coordinate", "array"])
+        ("%%MatrixMarket matrix array real general\n1" + "0" * 5000 + " 1\n1.0\n", "line 2"),
+    ], ids=["coordinate", "array", "past-int-digit-limit"])
     def test_huge_declared_size_rejected(self, capsys, tmp_path, text, where):
         # a three-line file must not ask for a dense 10^6 x 10^6 array
         path = tmp_path / "huge.mm"

@@ -376,13 +376,13 @@ class TestSubstitutionSweep:
         assert gaps[1][0] > 0.0
 
     def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
-        # as for estimate_trace: a few row blocks per thread, never a chunk
+        # under four row blocks per thread: the draws and two reused buffers
         rng = np.random.default_rng(224)
         a = crandn(rng, 64, 64)
         b, _ = np.linalg.qr(crandn(rng, 64, 64))
         peak = peak_of_two_threads(
             monkeypatch, lambda count, spec: substitution_identity_sweep(a, b, count, spec))
-        assert peak < 2 * 5 * BLOCK_64
+        assert peak < 2 * 4 * BLOCK_64
 
     def test_identity_b_gives_zero_gap(self):
         rng = np.random.default_rng(219)

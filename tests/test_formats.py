@@ -3,6 +3,8 @@
 import gc
 import io
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +158,52 @@ class TestMatrixMarketParse:
         text = buf.getvalue().decode()
         assert np.allclose(parse_matrix_market(text), a, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_parse_peak_is_under_five_times_the_text(self, n):
+        # the reader holds its lines, then its data once, and makes no Python
+        # string per number: about 4x the text, where it was 8.7x
+        text = write_matrix_market(crandn(np.random.default_rng(n), n, n))
+        parse_matrix_market(text)  # the grammar's regex compiled before tracing
+        tracemalloc.start()
+        try:
+            parse_matrix_market(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
+
+    def test_edge_tokens_read_as_float(self):
+        # every separator of the grammar, at line starts, between tokens and
+        # at line ends; each token reads as the bits float() gives it
+        tokens = ["1.", ".5", "+1", "-0", "007", "1E+05", "5e-324", "-.0", "+0.",
+                  "2.2250738585072011e-308", "1.7976931348623157e308", "1e-400",
+                  "-1e-400", "9007199254740993", "1" + "0" * 299, "0." + "0" * 300 + "7"]
+        seps = [" ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f"]
+        lines = [seps[k % 9] + tokens[2 * k] + seps[(k + 1) % 9] + tokens[2 * k + 1]
+                 + seps[(k + 2) % 9] for k in range(len(tokens) // 2)]
+        text = "%%MatrixMarket matrix array complex general\n8 1\n" + "\n".join(lines)
+        parsed = parse_matrix_market(text)
+        assert parsed.view(np.float64).tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_files_without_data(self):
+        # a line of separators alone is blank, so no empty data reaches the
+        # conversion, which would read " " as -1.0; a coordinate file may hold
+        # no entries, and reads as zeros
+        with pytest.raises(MatrixMarketError, match="^line 2: expected 1 entries, found 0$"):
+            parse_matrix_market("%%MatrixMarket matrix array real general\n1 1\n \t\x1c\r\n")
+        empty = parse_matrix_market("%%MatrixMarket matrix coordinate real general\n2 3 0\n \n")
+        assert np.array_equal(empty, np.zeros((2, 3))) and not np.signbit(empty.view(float)).any()
+
+    @pytest.mark.parametrize("fmt, size, data, a", [
+        ("array", "0" * 5000 + "1 1", "2.5", [[2.5]]),
+        ("array", "+" + "0" * 5000 + "2 1", "2.5\n0", [[2.5], [0]]),
+        ("coordinate", "1 1 " + "0" * 5000 + "1", "1 1 2.5", [[2.5]]),
+    ], ids=["array", "array-signed", "coordinate-count"])
+    def test_zero_padded_size_reads_as_its_value(self, fmt, size, data, a):
+        # int() refuses more than 4300 digits, leading zeros included
+        text = f"%%MatrixMarket matrix {fmt} real general\n% padded\n{size}\n{data}\n"
+        assert np.array_equal(parse_matrix_market(text), a)
+
 
 class TestMatrixMarketErrors:
     def test_bad_header(self):
@@ -195,9 +243,10 @@ class TestMatrixMarketErrors:
             parse_matrix_market(text)
 
     def test_nonfinite_rejected(self):
-        text = "%%MatrixMarket matrix array real general\n1 1\nnan\n"
-        with pytest.raises(MatrixMarketError, match="non-finite"):
-            parse_matrix_market(text)
+        for token in ("nan", "-nan", "inf", "Infinity", "-INFINITY", "1e999", "1" + "0" * 399):
+            text = f"%%MatrixMarket matrix array real general\n1 1\n{token}\n"
+            with pytest.raises(MatrixMarketError, match="^line 3: non-finite value"):
+                parse_matrix_market(text)
 
     def test_integer_field_rejects_non_integers(self):
         head = "%%MatrixMarket matrix array integer general\n2 1\n3\n"
@@ -243,6 +292,29 @@ class TestMatrixMarketErrors:
     def test_missing_size_line(self):
         with pytest.raises(MatrixMarketError, match="size"):
             parse_matrix_market("%%MatrixMarket matrix array real general\n")
+
+    @pytest.mark.parametrize("fmt, size, message", [
+        ("array", "1" + "0" * 5000 + " 1", "size out of range"),
+        ("array", "-" + "9" * 5000 + " 1", "size out of range"),
+        ("coordinate", "1 1 1" + "0" * 5000, "size out of range"),
+        ("coordinate", "1 1 -" + "9" * 5000, "size out of range"),
+        # each size has 2201 digits and is read; the dense bytes have 4402
+        ("coordinate", " ".join(["3" + "0" * 2200] * 2) + " 1",
+         "a dense 3" + "0" * 2200 + " x 3" + "0" * 2200 + " complex matrix needs ~10**4402 bytes"),
+    ], ids=["array", "array-negative", "coordinate-count", "coordinate-negative-count",
+            "dense-bytes"])
+    def test_size_past_the_int_digit_limit_names_the_size_line(self, fmt, size, message):
+        text = f"%%MatrixMarket matrix {fmt} real general\n{size}\n1 1 1\n"
+        with pytest.raises(MatrixMarketError, match="^line 2: " + re.escape(message)):
+            parse_matrix_market(text)
+
+    def test_entry_count_past_the_int_digit_limit_names_the_last_line(self):
+        # each size has 2201 digits, their product 4401: the count fault still
+        # names the last data line, and gives the count's power of ten
+        size = " ".join(["3" + "0" * 2200] * 2)
+        with pytest.raises(MatrixMarketError,
+                           match=r"^line 4: expected ~10\*\*4400 entries, found 2$"):
+            parse_matrix_market(f"%%MatrixMarket matrix array real general\n{size}\n1\n2\n")
 
 
 class TestMatrixMarketWrite:
