@@ -3,7 +3,10 @@
 The normalized trace of a complex n x n matrix A equals the average of
 <A x, x> over the unit sphere, so drawing unit vectors uniformly and
 averaging the quadratic form gives an unbiased estimator whose error
-shrinks like 1/sqrt(N).
+shrinks like 1/sqrt(N).  For an explicit A the variance of one sample is
+known exactly, (||A||_F^2 - |tr A|^2 / n) / (n (n + 1)), and Bernstein's
+inequality turns it into a radius the error exceeds with probability at
+most 1e-9 at any N (EstimateReport.radius, README).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -33,13 +36,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .linalg import (_ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm,
-                     normalized_trace)
-from .sphere import (
-    CHUNK_OFFSET_PAIRED,
-    StreamSpec,
-    map_chunks,
-)
+from .linalg import _ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm
+from .sphere import CHUNK_OFFSET_PAIRED, CHUNK_SIZE, StreamSpec, map_chunks
 
 __all__ = [
     "LinearOperator",
@@ -51,6 +49,8 @@ __all__ = [
     "substitution_identity_sweep",
     "commutation_estimate_check",
 ]
+
+_DELTA = 1e-9  # a correct estimate is beyond its radius with at most this probability
 
 
 class LinearOperator:
@@ -153,6 +153,7 @@ class EstimateReport:
     spec: StreamSpec
     exact: complex
     rounding_floor: float  # the most rounding can make of abs_error()
+    radius: float  # abs_error() beyond it, rounding aside, has probability <= _DELTA
 
     def abs_error(self) -> float:
         return abs(self.mean - self.exact)
@@ -171,11 +172,13 @@ def estimate_trace(
     threads; the BLAS kernel and thread count can change its last bits.
     The estimate is of A / 2**e, scaled exactly to unit peak
     (linalg._unit_peak) so that no sample value overflows, and is scaled
-    back.  The confidence radius is z * stderr, and the rounding floor
-    gamma_{2n} ||A||_F + (8 n^2 + n_samples) eta, derived in README.
-    raw=True reports the trace tr(A) itself: mean, stderr, ci_radius,
-    exact and the floor are all multiplied by n.  A reported number beyond
-    float64 raises ValueError, as does a z so large that z * stderr is.
+    back.  ci_radius = z * stderr is reported only.  The gate allows the
+    radius, exceeded with probability at most 1e-9 (inf past float64), plus
+    the rounding floor gamma_k ||A||_F + (8 n^2 + n_samples) eta, both
+    derived in README.  raw=True reports the trace tr(A) itself: mean,
+    stderr, ci_radius, exact, the floor and the radius are all multiplied by
+    n.  A reported number beyond float64 raises ValueError, as does a z so
+    large that z * stderr is.
     """
     return _estimate(as_matrix(a), 0, n_samples, spec, z, raw)
 
@@ -201,16 +204,26 @@ def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec, z: float 
     mean = _ldexp(total.mean, e, "trace estimate")
     stderr = _ldexp(total.stderr(), e, "trace estimate").real
     ci_radius = z * stderr
-    exact = _ldexp(normalized_trace(s), e, "normalized trace")
-    floor = _rounding_bound(2 * n, frobenius_norm(s), 8 * n * n + n_samples, e)
+    mu = complex(np.trace(s) / n)
+    exact = _ldexp(mu, e, "normalized trace")
+    rounds = 13 * n + min(n_samples, CHUNK_SIZE) + 8 * -(-n_samples // CHUNK_SIZE)  # README
+    floor = _rounding_bound(rounds, frobenius_norm(s), 8 * n * n + n_samples, e)
+    # Bernstein at _DELTA, sigma exact and |<Sx, x> - mu| <= ||S - mu I||_F (README)
+    centred = s.copy()
+    centred.flat[:: n + 1] -= mu
+    sigma = float(np.linalg.norm(centred)) / math.sqrt(n * (n + 1))
+    log = math.log(2 / _DELTA)
+    k = math.sqrt(n * (n + 1)) * log / (3 * n_samples)
+    with np.errstate(over="ignore"):  # past float64 every finite error passes
+        radius = float(np.ldexp(sigma * (k + math.sqrt(k * k + 2 * log / n_samples)), e))
     if raw:
-        mean, stderr, ci_radius, exact, floor = (
-            f * n for f in (mean, stderr, ci_radius, exact, floor))
+        mean, stderr, ci_radius, exact, floor, radius = (
+            f * n for f in (mean, stderr, ci_radius, exact, floor, radius))
         if not np.isfinite([mean, stderr, exact]).all():
             raise ValueError("raw trace overflows float64; rescale the matrix")
     if not math.isfinite(ci_radius):
         raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
-    return EstimateReport(n, n_samples, mean, stderr, ci_radius, spec, exact, floor)
+    return EstimateReport(n, n_samples, mean, stderr, ci_radius, spec, exact, floor, radius)
 
 
 def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, ...]:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -97,18 +98,48 @@ class TestEstimate:
         assert doc["mean"] == [3.0, 0.0]
         assert doc["exact"] == [3.0, 0.0]
 
-    def test_no_check_suppresses_gate(self, capsys, random_file):
-        # a z so small the gate cannot pass
-        code, _, _ = run(
-            capsys, "estimate", random_file,
-            "--samples", "200", "--z", "1e-12",
-        )
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_one_sample_passes(self, capsys, tmp_path, seed):
+        # one draw has no sample stderr; the radius comes from the exact
+        # variance, so a correct one-draw estimate passes
+        path = tmp_path / "d.mm"
+        path.write_text(write_matrix_market(np.diag([1.0, 3.0])))
+        code, out, err = run(capsys, "estimate", str(path), "--samples", "1", "--seed", seed)
+        assert code == 0 and err == ""
+        assert json.loads(out)["abs_error"] > 0.3
+
+    def test_gate_fails_at_twice_its_bound(self, capsys, random_file, monkeypatch):
+        # the library's mean is moved off exact by twice radius + rounding floor
+        estimate = cli.estimate_trace
+        fed = []
+
+        def feed(*args, **kwargs):
+            rep = estimate(*args, **kwargs)
+            fed.append(2 * (rep.radius + rep.rounding_floor))
+            rep.mean = rep.exact + fed[0]
+            return rep
+
+        monkeypatch.setattr(cli, "estimate_trace", feed)
+        code, out, _ = run(capsys, "estimate", random_file, "--samples", "200")
         assert code == 2
-        code, _, _ = run(
-            capsys, "estimate", random_file,
-            "--samples", "200", "--z", "1e-12", "--no-check",
-        )
-        assert code == 0
+        assert json.loads(out)["abs_error"] == pytest.approx(fed[0], rel=1e-12)
+
+    @pytest.mark.parametrize("samples", ["1", "16"])
+    @pytest.mark.parametrize("a", [
+        np.full((2, 2), 1e308),
+        np.diag([1e160, -1e160]),
+        np.array([[0.0, 1.5e308], [1.5e308, 0.0]]),
+    ], ids=["full", "diagonal", "off-diagonal"])
+    def test_huge_matrix_passes_with_an_infinite_radius(self, capsys, tmp_path, a, samples):
+        # near 1e308 the radius t 2**e can be past float64: it saturates to
+        # inf instead of raising OverflowError (exit 2), and every finite
+        # error passes it
+        path = tmp_path / "a.mm"
+        path.write_text(write_matrix_market(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "estimate", str(path), "--samples", samples)
+        assert code == 0 and err == "", out
 
     @pytest.mark.parametrize("diag", [
         [0.1] * 3, [0.3] * 3, [1.0 / 3.0] * 3, [1.0, 1.0 + 1e-15, 1.0],
@@ -228,9 +259,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("z, flags", [
         ("1e308", ()),
-        ("1e308", ("--no-check",)),
         ("1.5e307", ("--raw",)),  # z * stderr is finite; n = 2 times it is not
-    ], ids=["gate", "no-check", "raw"])
+    ], ids=["gate", "raw"])
     def test_overflowing_ci_radius_names_z(self, capsys, tmp_path, z, flags):
         # the mean and stderr (~100) are finite; z * stderr at z = 1e308 is not
         path = tmp_path / "a.mm"
@@ -650,6 +680,7 @@ class TestUsage:
         ("decompose", "A.mm", "--tolerance", "1e-10"),
         ("check-invariance", "A.mm", "--random-unitary", "--tolerance", "1e-10"),
         ("estimate", "A.mm", "--format", "json"),
+        ("estimate", "A.mm", "--no-check"),
     ])
     def test_flag_of_another_subcommand_rejected(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -657,7 +688,7 @@ class TestUsage:
 
     def test_help_lists_only_read_flags(self, capsys):
         own = {
-            "estimate": {"--samples", "--z", "--raw", "--no-check"},
+            "estimate": {"--samples", "--z", "--raw"},
             "decompose": {"--det-one"},
             "uniqueness": {"--dim"},
             "check-invariance": {"--samples", "--unitary", "--random-unitary"},
@@ -675,6 +706,17 @@ class TestUsage:
         for command, row in rows.items():
             expected = help_flags(capsys, command) - {"--help", "--seed", "--output"}
             assert set(re.findall(FLAG, row)) == expected, command
+
+    def test_readme_examples_parse(self):
+        # every `tracekit ...` line of README's sh blocks, so that no example
+        # keeps a flag the parser has dropped
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("tracekit ")]
+        assert len(lines) >= 7
+        for line in lines:
+            cli._build_parser().parse_args(shlex.split(line)[1:])
 
     def test_bad_flag_values(self, capsys):
         assert run(capsys, "sample", "--dim", "2", "--seed", "-1")[0] == 1

@@ -452,6 +452,98 @@ class TestEstimateMatrixTrace:
                 estimate_trace(a, 1, StreamSpec(seed, 0), raw=True)
 
 
+def design_rows(p: int) -> np.ndarray:
+    """The p (p + 1) unit rows of a complete set of mutually unbiased bases of
+    C^p, p prime: the standard basis and v_{a,b}[k] = w^(a k^2 + b k) / sqrt(p),
+    w = e^(2 pi i / p) (Wootters & Fields, 1989).  They form a complex
+    projective 2-design (Klappenecker & Roetteler, 2005)."""
+    k = np.arange(p)
+    a, b = np.meshgrid(k, k, indexing="ij")
+    phase = (a[..., None] * k * k + b[..., None] * k) % p
+    return np.vstack([np.eye(p), np.exp(2j * np.pi * phase / p).reshape(p * p, p) / np.sqrt(p)])
+
+
+def bernstein_radius(sigma: float, n: int, count: int) -> float:
+    """t with 2 exp(-N t^2 / (2 sigma^2 + 2 b t / 3)) = 1e-9, b = sqrt(n (n + 1)) sigma."""
+    log = np.log(2e9)
+    k = np.sqrt(n * (n + 1)) * log / (3 * count)
+    return sigma * (k + np.sqrt(k * k + 2 * log / count))
+
+
+def gate_passes(rep) -> bool:
+    """The comparison cmd_estimate makes."""
+    return rep.abs_error() <= rep.radius + rep.rounding_floor
+
+
+class TestGateRadius:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_sphere_variance_is_exact_on_a_2_design(self, p):
+        # averages over a 2-design equal sphere averages of degree (1, 1) and
+        # (2, 2), so the mean is tr A / p and the mean square deviation is
+        # sigma^2 = (||A||_F^2 - |tr A|^2 / p) / (p (p + 1)), to rounding
+        a = crandn(np.random.default_rng(700 + p), p, p)
+        x = design_rows(p)
+        stats = stats_from_values(_rayleigh_values(x @ a.T, x))
+        exact = np.trace(a) / p
+        var = (np.sum(np.abs(a) ** 2) - abs(np.trace(a)) ** 2 / p) / (p * (p + 1))
+        assert stats.count == p * (p + 1)
+        assert abs(stats.mean - exact) <= 1e-14 * abs(exact)
+        assert abs((stats.m2_re + stats.m2_im) / stats.count - var) <= 1e-14 * var
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("kind", ["gaussian", "near-identity"])
+    def test_no_correct_run_fails_at_few_samples(self, n, kind):
+        # the gate's false-failure probability is at most 1e-9 per run
+        a = crandn(np.random.default_rng(710 + n), n, n)
+        if kind == "near-identity":
+            a = np.eye(n) + 1e-9 * a
+        failed = [(count, seed) for count in (1, 2, 10) for seed in range(200)
+                  if not gate_passes(estimate_trace(a, count, StreamSpec(seed, 0)))]
+        assert failed == []
+
+    def test_radius_is_the_bernstein_solution(self):
+        a = crandn(np.random.default_rng(720), 5, 5)
+        sigma = np.linalg.norm(a - np.trace(a) / 5 * np.eye(5)) / np.sqrt(30)
+        for count in (1, 100, 20000):
+            rep = estimate_trace(a, count, StreamSpec(0, 0))
+            assert rep.radius == pytest.approx(bernstein_radius(sigma, 5, count), rel=1e-12)
+            assert estimate_trace(a, count, StreamSpec(0, 0), raw=True).radius == rep.radius * 5
+        assert estimate_trace(np.eye(3), 10, StreamSpec(0, 0)).radius == 0.0
+
+    def test_radius_does_not_cancel_near_a_multiple_of_i(self):
+        # ||A||_F^2 - n |mu|^2 would cancel to rounding here, a radius of 0
+        e = crandn(np.random.default_rng(721), 8, 8)
+        sigma = 1e-13 * np.linalg.norm(e - np.trace(e) / 8 * np.eye(8)) / np.sqrt(72)
+        rep = estimate_trace(np.eye(8) + 1e-13 * e, 1, StreamSpec(0, 0))
+        assert rep.radius == pytest.approx(bernstein_radius(sigma, 8, 1), rel=1e-2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_multiples_of_i_pass_on_rounding_alone(self, n):
+        # sigma is 0, or rounding, so the floor alone carries the gate: it
+        # bounds the rounding of each sample, of the chunk sums and merges,
+        # and of exact
+        rng = np.random.default_rng(730 + n)
+        for c in crandn(rng, 20):
+            for seed in range(50):
+                assert gate_passes(estimate_trace(c * np.eye(n), 1, StreamSpec(seed, 0)))
+            assert gate_passes(estimate_trace(c * np.eye(n), 5000, StreamSpec(0, 0)))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**300, 2.0**-300, 1e300, 5e-324])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_exact_is_bitwise_normalized_trace(self, n, scale):
+        a = scale * crandn(np.random.default_rng(722 + n), n, n)
+        rep = estimate_trace(a, 1, StreamSpec(0, 0))
+        assert np.array(rep.exact).tobytes() == np.array(normalized_trace(a)).tobytes()
+
+    def test_radius_saturates_to_inf(self):
+        # one draw of a 2 x 2 of 1e308: t 2**e is past float64, and every
+        # finite error passes an infinite radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = estimate_trace(np.full((2, 2), 1e308), 1, StreamSpec(0, 0))
+        assert rep.radius == np.inf and gate_passes(rep)
+
+
 class TestCommutationCheck:
     def test_diagonal_exact_oracle_equality(self):
         a = np.diag([1.0 + 1j, 2.0, -3.0])

@@ -495,6 +495,7 @@ class TestReportJson:
             spec=StreamSpec(42, 0),
             exact=0.25 + 0j,
             rounding_floor=1e-15,
+            radius=0.02,
         )
 
     def test_schema_keys_in_order(self):

@@ -291,7 +291,7 @@ def test_reports_scale_exactly_with_powers_of_two(n, k, seed):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     ak = a * 2.0**k
     spec = StreamSpec(seed, 0)
-    fields = ("mean", "stderr", "ci_radius", "exact", "rounding_floor")
+    fields = ("mean", "stderr", "ci_radius", "exact", "rounding_floor", "radius")
     base, scaled = (estimate_trace(m, 64, spec) for m in (a, ak))
     assert [getattr(scaled, f) for f in fields] == [getattr(base, f) * 2.0**k for f in fields]
     b = seeded_unitary(StreamSpec(seed, CHUNK_OFFSET_PROBES), n)
