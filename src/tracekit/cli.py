@@ -82,14 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="estimate the normalized trace of a matrix file")
     p.add_argument("--z", type=_positive_float, default=3.0,
                    help="reported confidence radius in standard errors, not gated (default 3)")
-    p.add_argument("--raw", action="store_true",
-                   help="report the raw trace (n times the normalized one)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("decompose", parents=[base, matrix],
                        help="write a matrix as a sum of at most four unitaries")
-    p.add_argument("--det-one", action="store_true",
-                   help="rephase every unitary to determinant 1")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("uniqueness", parents=[base],
@@ -130,13 +126,13 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def cmd_estimate(args) -> tuple[str, bool]:
     a = _load_matrix(args.matrix)
-    report = estimate_trace(a, args.samples, StreamSpec(args.seed, 0), z=args.z, raw=args.raw)
+    report = estimate_trace(a, args.samples, StreamSpec(args.seed, 0), z=args.z)
     return write_report_json(report), report.abs_error() <= report.radius + report.rounding_floor
 
 
 def cmd_decompose(args) -> tuple[str, bool]:
     a = _load_matrix(args.matrix)
-    dec = decompose_into_unitaries(a, det_one=args.det_one)
+    dec = decompose_into_unitaries(a)
     doc = {
         "n": dec.dim,
         "terms": [

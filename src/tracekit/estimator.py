@@ -156,12 +156,16 @@ class EstimateReport:
     radius: float  # abs_error() beyond it, rounding aside, has probability <= _DELTA
 
     def abs_error(self) -> float:
-        return abs(self.mean - self.exact)
+        try:
+            error = abs(self.mean - self.exact)
+        except OverflowError:  # both parts finite, the modulus not
+            error = math.inf
+        if error == math.inf:
+            raise ValueError("abs_error overflows float64; rescale the matrix")
+        return error
 
 
-def estimate_trace(
-    a, n_samples: int, spec: StreamSpec, *, z: float = 3.0, raw: bool = False
-) -> EstimateReport:
+def estimate_trace(a, n_samples: int, spec: StreamSpec, *, z: float = 3.0) -> EstimateReport:
     """Estimate the normalized trace tr(A) / n of the square matrix A = a
     (validated by linalg.as_matrix) from `n_samples` sphere draws, with
     `exact` = tr(A) / n filled in.
@@ -175,16 +179,15 @@ def estimate_trace(
     back.  ci_radius = z * stderr is reported only.  The gate allows the
     radius, exceeded with probability at most 1e-9 (inf past float64), plus
     the rounding floor gamma_k ||A||_F + (8 n^2 + n_samples) eta, both
-    derived in README.  raw=True reports the trace tr(A) itself: mean,
-    stderr, ci_radius, exact, the floor and the radius are all multiplied by
-    n.  A reported number beyond float64 raises ValueError, as does a z so
-    large that z * stderr is.
+    derived in README.  A reported number beyond float64 raises ValueError,
+    abs_error() among them, as does a z so large that z * stderr is.  The
+    raw trace tr(A) is n times mean, exact, stderr and ci_radius.
     """
-    return _estimate(as_matrix(a), 0, n_samples, spec, z, raw)
+    return _estimate(as_matrix(a), 0, n_samples, spec, z)
 
 
-def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec, z: float = 3.0,
-              raw: bool = False) -> EstimateReport:
+def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec,
+              z: float = 3.0) -> EstimateReport:
     """estimate_trace of the matrix m * 2**e."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -216,14 +219,11 @@ def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec, z: float 
     k = math.sqrt(n * (n + 1)) * log / (3 * n_samples)
     with np.errstate(over="ignore"):  # past float64 every finite error passes
         radius = float(np.ldexp(sigma * (k + math.sqrt(k * k + 2 * log / n_samples)), e))
-    if raw:
-        mean, stderr, ci_radius, exact, floor, radius = (
-            f * n for f in (mean, stderr, ci_radius, exact, floor, radius))
-        if not np.isfinite([mean, stderr, exact]).all():
-            raise ValueError("raw trace overflows float64; rescale the matrix")
     if not math.isfinite(ci_radius):
         raise ValueError(f"ci_radius = z * stderr is not finite at z = {z:g}; lower z")
-    return EstimateReport(n, n_samples, mean, stderr, ci_radius, spec, exact, floor, radius)
+    report = EstimateReport(n, n_samples, mean, stderr, ci_radius, spec, exact, floor, radius)
+    report.abs_error()  # raises where it is past float64
+    return report
 
 
 def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, ...]:

@@ -76,17 +76,17 @@ class UnitaryDecomposition:
         return out
 
 
-def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
+def decompose_into_unitaries(a) -> UnitaryDecomposition:
     """Write a square matrix as a sum of at most four weighted unitaries.
 
     Each Hermitian part H = Q diag(w) Q* is solved once.  Its operator
     norm h = max |w| gives the two terms (h/2) U and (h/2) U*, with U
     formed from Q and w / h, the eigenvalues of the contraction H / h.
     Parts with h = 0 contribute nothing; the zero matrix yields the
-    single term 0 * I.  With det_one=True every term is passed through
-    rephase_to_det_one, and the residuals are those of the rephased terms.
-    The bounds, derived in README, are gamma_{3 p(n) + 18 sqrt(n) + 4} ||A||_F
-    + 20 n eta and gamma_{5 p(n) + 8 sqrt(n)}, with p(n) = 64 n for LAPACK's
+    single term 0 * I.  rephase_to_det_one(u, c) of a term gives its
+    determinant-one form.  The bounds, derived in README, are
+    gamma_{3 p(n) + 18 sqrt(n) + 4} ||A||_F + 20 n eta and
+    gamma_{5 p(n) + 3 sqrt(n)}, with p(n) = 64 n for LAPACK's
     unspecified p(n) u (eigh's backward error and loss of orthogonality).
     The terms are those of A / 2**e (linalg._unit_peak), whose coefficients
     and residual are scaled back; a coefficient beyond float64 raises ValueError.
@@ -106,13 +106,9 @@ def decompose_into_unitaries(a, det_one: bool = False) -> UnitaryDecomposition:
     if not coeffs:
         coeffs = [0j]
         units = [np.eye(n, dtype=np.complex128)]
-    if det_one:
-        rephased = [rephase_to_det_one(u, c) for c, u in zip(coeffs, units)]
-        units = [u for u, _ in rephased]
-        coeffs = [c for _, c in rephased]
     p, root = 64 * n, n**0.5
     bounds = (_rounding_bound(3 * p + 18 * root + 4, frobenius_norm(s), 20 * n, e),
-              _rounding_bound(5 * p + 8 * root, 1.0, 0))
+              _rounding_bound(5 * p + 3 * root, 1.0, 0))
     dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0, *bounds)
     dec.reconstruction_residual = math.ldexp(frobenius_norm(dec.reconstruct() - s), e)
     dec.coefficients = [_ldexp(c, e, "a coefficient ||H|| / 2") for c in coeffs]

@@ -42,6 +42,18 @@ def run(capsys, *args):
 FLAG = r"(?<![\w-])--[a-z][a-z-]*"
 
 
+def report(capsys, *args):
+    """The stdout of a run that exits 0 with a report, so that two runs that
+    both fail to start cannot compare equal."""
+    code, out, err = run(capsys, *args)
+    assert code == 0 and out, err
+    return out
+
+
+def assert_same_report(capsys, args):
+    assert report(capsys, *args) == report(capsys, *args)
+
+
 def help_flags(capsys, command):
     """The set of flags that `tracekit <command> --help` lists."""
     code, out, _ = run(capsys, command, "--help")
@@ -89,15 +101,6 @@ class TestEstimate:
         assert doc["exact"] == [0.25, 0.0]
         assert doc["abs_error"] <= doc["ci_radius"]
 
-    def test_raw_flag_scales_by_dimension(self, capsys, identity_file):
-        code, out, _ = run(
-            capsys, "estimate", identity_file, "--samples", "50", "--raw"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["mean"] == [3.0, 0.0]
-        assert doc["exact"] == [3.0, 0.0]
-
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_one_sample_passes(self, capsys, tmp_path, seed):
         # one draw has no sample stderr; the radius comes from the exact
@@ -144,14 +147,29 @@ class TestEstimate:
     @pytest.mark.parametrize("diag", [
         [0.1] * 3, [0.3] * 3, [1.0 / 3.0] * 3, [1.0, 1.0 + 1e-15, 1.0],
     ])
-    @pytest.mark.parametrize("raw", [(), ("--raw",)])
-    def test_rounding_error_passes_gate(self, capsys, tmp_path, diag, raw):
+    def test_rounding_error_passes_gate(self, capsys, tmp_path, diag):
         # near-constant diagonals give a stderr far below the rounding
         # error of the mean; the gate must not fail on rounding alone
         path = tmp_path / "d.mm"
         path.write_text(write_matrix_market(np.diag(diag)))
-        code, out, _ = run(capsys, "estimate", str(path), "--samples", "1000", *raw)
+        code, out, _ = run(capsys, "estimate", str(path), "--samples", "1000")
         assert code == 0, out
+
+    def test_raw_trace_is_n_times_the_report(self, capsys, tmp_path):
+        # README's recipe gives the bytes the deleted `--raw` flag wrote for
+        # this run; each product in S x is exact or one rounding, so no BLAS
+        # kernel changes them
+        path = tmp_path / "d.mm"
+        path.write_text(write_matrix_market(np.diag([1 + 2j, -3, 0.5j])))
+        doc = json.loads(report(capsys, "estimate", str(path), "--samples", "100", "--seed", "4"))
+        mean, exact = complex(*doc["mean"]) * 3, complex(*doc["exact"]) * 3
+        doc.update(mean=complex_pair(mean), stderr=doc["stderr"] * 3,
+                   ci_radius=doc["ci_radius"] * 3, exact=complex_pair(exact),
+                   abs_error=abs(mean - exact))
+        assert dumps(doc) == (
+            '{"n": 3, "samples": 100, "mean": [-2.1820684809311275, 2.4297507462921932], '
+            '"stderr": 0.30058338875835688, "ci_radius": 0.90175016627507065, "seed": 4, '
+            '"exact": [-2, 2.5], "abs_error": 0.19515094003122849}')
 
     def test_output_file(self, capsys, identity_file, tmp_path):
         target = tmp_path / "report.json"
@@ -245,32 +263,31 @@ class TestEstimate:
         assert code == 0 and err == ""
         assert json.loads(out)["exact"] == [1e308, 0]
 
-    @pytest.mark.parametrize("seed", ["3", "5"])
-    def test_overflowing_raw_trace_exits_1_with_one_line(self, capsys, tmp_path, seed):
-        # the normalized mean of the one draw is finite; twice it is not
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+    def test_abs_error_past_float64_exits_1_with_one_line(self, capsys, tmp_path, seed):
+        # mean and exact = 0 are finite, but |mean| is past float64 at seeds
+        # 3 and 5; the other seeds keep their reports
         path = tmp_path / "big.mm"
-        path.write_text(write_matrix_market(np.diag([1.2e308, -1.2e308])))
+        path.write_text(write_matrix_market(np.diag([1.7e308 * (1 + 1j), -1.7e308 * (1 + 1j)])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "estimate", str(path), "--raw",
-                                 "--samples", "1", "--seed", seed)
-        assert code == 1 and out == ""
-        assert err == "error: raw trace overflows float64; rescale the matrix\n"
+            code, out, err = run(capsys, "estimate", str(path), "--samples", "1", "--seed", seed)
+        if seed in "35":
+            assert code == 1 and out == ""
+            assert err == "error: abs_error overflows float64; rescale the matrix\n"
+        else:
+            assert code == 0 and err == ""
+            assert json.loads(out)["abs_error"] > 9e307
 
-    @pytest.mark.parametrize("z, flags", [
-        ("1e308", ()),
-        ("1.5e307", ("--raw",)),  # z * stderr is finite; n = 2 times it is not
-    ], ids=["gate", "raw"])
-    def test_overflowing_ci_radius_names_z(self, capsys, tmp_path, z, flags):
+    def test_overflowing_ci_radius_names_z(self, capsys, tmp_path):
         # the mean and stderr (~100) are finite; z * stderr at z = 1e308 is not
         path = tmp_path / "a.mm"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n100\n0\n0\n-100\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "estimate", str(path), "--samples", "50",
-                                 "--z", z, *flags)
+            code, out, err = run(capsys, "estimate", str(path), "--samples", "50", "--z", "1e308")
         assert code == 1 and out == ""
-        assert err == f"error: ci_radius = z * stderr is not finite at z = {float(z):g}; lower z\n"
+        assert err == "error: ci_radius = z * stderr is not finite at z = 1e+308; lower z\n"
 
     @pytest.mark.parametrize("text, where", [
         ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n", "line 2"),
@@ -311,9 +328,7 @@ class TestEstimate:
 
     def test_repeat_invocations_byte_identical(self, capsys, random_file):
         args = ("estimate", random_file, "--seed", "9", "--samples", "5000")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
+        assert_same_report(capsys, args)
 
 
 class TestDecompose:
@@ -341,7 +356,7 @@ class TestDecompose:
         half = max(abs(w[0]), abs(w[-1])) / 2.0
         assert [t["coefficient"] for t in doc["terms"]] == [[half, 0.0], [half, 0.0]]
 
-    @pytest.mark.parametrize("kind", ["general", "hermitian", "det-one"])
+    @pytest.mark.parametrize("kind", ["general", "hermitian"])
     def test_output_bytes_match_the_list_path(self, capsys, tmp_path, kind):
         # U* of each pair is written from U's digits; the bytes must be
         # those of the same document with every float formatted itself
@@ -352,15 +367,13 @@ class TestDecompose:
             a = a / (2.0 * np.linalg.norm(a, 2))
         path = tmp_path / "a.mm"
         path.write_text(write_matrix_market(a))
-        det_one = kind == "det-one"
-        code, out, _ = run(capsys, "decompose", str(path), *["--det-one"] * det_one)
+        code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
-        dec = decompose_into_unitaries(parse_matrix_market(path.read_text()), det_one=det_one)
+        dec = decompose_into_unitaries(parse_matrix_market(path.read_text()))
         units = dec.unitaries
         paired = [np.array_equal(np.conj(u).T.copy().view(np.uint64), v.view(np.uint64))
                   for u, v in zip(units[0::2], units[1::2])]
-        assert paired == {"general": [True, True], "hermitian": [True],
-                          "det-one": [False, False]}[kind]
+        assert paired == {"general": [True, True], "hermitian": [True]}[kind]
         doc = {
             "n": 7,
             "terms": [{"coefficient": complex_pair(c), "det": complex_pair(determinant(u)),
@@ -371,17 +384,6 @@ class TestDecompose:
         }
         assert out == dumps(doc) + "\n"
 
-    def test_random_with_det_one(self, capsys, random_file):
-        code, out, _ = run(capsys, "decompose", random_file, "--det-one")
-        assert code == 0
-        doc = json.loads(out)
-        assert 1 <= len(doc["terms"]) <= 4
-        for term in doc["terms"]:
-            det = complex(term["det"][0], term["det"][1])
-            assert abs(det - 1.0) <= 1e-8
-        assert doc["reconstruction_residual"] <= 1e-10 * 8.0
-        assert doc["unitarity_residual"] <= 1e-10 * 4
-
     def test_unitary_entries_present(self, capsys, random_file):
         _, out, _ = run(capsys, "decompose", random_file)
         doc = json.loads(out)
@@ -391,9 +393,7 @@ class TestDecompose:
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10 * 4
 
     def test_byte_identical(self, capsys, random_file):
-        _, first, _ = run(capsys, "decompose", random_file, "--det-one")
-        _, second, _ = run(capsys, "decompose", random_file, "--det-one")
-        assert first == second
+        assert_same_report(capsys, ("decompose", random_file))
 
     def test_overflowing_hermitian_parts_exit_0(self, capsys, tmp_path):
         # (A + A*) / 2 sums 2e308 before it halves, but the parts are of
@@ -488,9 +488,7 @@ class TestUniqueness:
                        "expected 1\n")
 
     def test_byte_identical(self, capsys):
-        _, first, _ = run(capsys, "uniqueness", "--dim", "4")
-        _, second, _ = run(capsys, "uniqueness", "--dim", "4")
-        assert first == second
+        assert_same_report(capsys, ("uniqueness", "--dim", "4"))
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
@@ -650,15 +648,11 @@ class TestSample:
             assert abs(complex(pair[0], pair[1])) == pytest.approx(1.0, abs=1e-12)
 
     def test_seeded_repeat_identical(self, capsys):
-        args = ("sample", "--dim", "5", "--count", "10", "--seed", "3")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
+        assert_same_report(capsys, ("sample", "--dim", "5", "--count", "10", "--seed", "3"))
 
     def test_seed_changes_output(self, capsys):
-        _, first, _ = run(capsys, "sample", "--dim", "2", "--seed", "1")
-        _, second, _ = run(capsys, "sample", "--dim", "2", "--seed", "2")
-        assert first != second
+        first = report(capsys, "sample", "--dim", "2", "--seed", "1")
+        assert first != report(capsys, "sample", "--dim", "2", "--seed", "2")
 
     def test_zero_dim_rejected(self, capsys):
         code, _, _ = run(capsys, "sample", "--dim", "0")
@@ -681,6 +675,8 @@ class TestUsage:
         ("check-invariance", "A.mm", "--random-unitary", "--tolerance", "1e-10"),
         ("estimate", "A.mm", "--format", "json"),
         ("estimate", "A.mm", "--no-check"),
+        ("estimate", "A.mm", "--raw"),
+        ("decompose", "A.mm", "--det-one"),
     ])
     def test_flag_of_another_subcommand_rejected(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -688,8 +684,8 @@ class TestUsage:
 
     def test_help_lists_only_read_flags(self, capsys):
         own = {
-            "estimate": {"--samples", "--z", "--raw"},
-            "decompose": {"--det-one"},
+            "estimate": {"--samples", "--z"},
+            "decompose": set(),
             "uniqueness": {"--dim"},
             "check-invariance": {"--samples", "--unitary", "--random-unitary"},
             "sample": {"--dim", "--count"},
@@ -708,20 +704,36 @@ class TestUsage:
             assert set(re.findall(FLAG, row)) == expected, command
 
     def test_readme_examples_parse(self):
-        # every `tracekit ...` line of README's sh blocks, so that no example
-        # keeps a flag the parser has dropped
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
-        lines = [line for block in blocks for line in block.splitlines()
-                 if line.startswith("tracekit ")]
+        # so that no example keeps a flag the parser has dropped
+        lines = readme_examples()
         assert len(lines) >= 7
         for line in lines:
             cli._build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
+        # each example exits 0 in a directory holding the files it names
+        rng = np.random.default_rng(604)
+        a = crandn(rng, 4, 4)
+        (tmp_path / "A.mm").write_text(write_matrix_market(a))
+        (tmp_path / "A.json").write_text(write_json_dense(a))
+        (tmp_path / "B.mm").write_text(write_matrix_market(np.linalg.qr(crandn(rng, 4, 4))[0]))
+        monkeypatch.chdir(tmp_path)
+        for line in readme_examples():
+            code, _, err = run(capsys, *shlex.split(line)[1:])
+            assert code == 0, (line, err)
 
     def test_bad_flag_values(self, capsys):
         assert run(capsys, "sample", "--dim", "2", "--seed", "-1")[0] == 1
         assert run(capsys, "sample", "--dim", "2", "--count", "0")[0] == 1
         assert run(capsys, "uniqueness", "--dim", "2", "--z", "0")[0] == 1
+
+
+def readme_examples():
+    """Every `tracekit ...` line of README's sh blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("tracekit ")]
 
 
 def _child_env():

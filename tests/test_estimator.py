@@ -409,15 +409,9 @@ class TestSubstitutionSweep:
 
 
 class TestEstimateMatrixTrace:
-    def test_exact_and_raw_scaling(self):
-        rng = np.random.default_rng(220)
-        a = crandn(rng, 5, 5)
-        rep = estimate_trace(a, 3000, StreamSpec(8, 0))
-        raw = estimate_trace(a, 3000, StreamSpec(8, 0), raw=True)
-        assert rep.exact == normalized_trace(a)
-        assert (raw.mean, raw.stderr, raw.ci_radius, raw.exact) == (
-            rep.mean * 5, rep.stderr * 5, rep.ci_radius * 5, rep.exact * 5
-        )
+    def test_exact_is_the_normalized_trace(self):
+        a = crandn(np.random.default_rng(220), 5, 5)
+        assert estimate_trace(a, 3000, StreamSpec(8, 0)).exact == normalized_trace(a)
 
     @pytest.mark.parametrize("a, samples", [
         (np.full((2, 2), 1e308), 16),  # some <A x, x> reach 2e308
@@ -442,14 +436,14 @@ class TestEstimateMatrixTrace:
                 estimate_trace(np.full((4, 4), 1e308), 1, StreamSpec(1, 0))
 
     @pytest.mark.parametrize("seed", [3, 5])
-    def test_raw_overflow_asks_to_rescale(self, seed):
-        # the one draw's value is finite, near -1.06e308; n times it is not
-        a = np.diag([1.2e308, -1.2e308])
+    def test_abs_error_overflow_asks_to_rescale(self, seed):
+        # both parts of mean - exact are finite, near 1.2e308; its modulus,
+        # which abs() raises OverflowError on, is not
+        a = np.diag([1.7e308 * (1 + 1j), -1.7e308 * (1 + 1j)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(estimate_trace(a, 1, StreamSpec(seed, 0)).mean)
-            with pytest.raises(ValueError, match="raw trace overflows float64; rescale"):
-                estimate_trace(a, 1, StreamSpec(seed, 0), raw=True)
+            with pytest.raises(ValueError, match="^abs_error overflows float64; rescale the matrix$"):
+                estimate_trace(a, 1, StreamSpec(seed, 0))
 
 
 def design_rows(p: int) -> np.ndarray:
@@ -507,7 +501,6 @@ class TestGateRadius:
         for count in (1, 100, 20000):
             rep = estimate_trace(a, count, StreamSpec(0, 0))
             assert rep.radius == pytest.approx(bernstein_radius(sigma, 5, count), rel=1e-12)
-            assert estimate_trace(a, count, StreamSpec(0, 0), raw=True).radius == rep.radius * 5
         assert estimate_trace(np.eye(3), 10, StreamSpec(0, 0)).radius == 0.0
 
     def test_radius_does_not_cancel_near_a_multiple_of_i(self):

@@ -1,9 +1,13 @@
 """Unitary decompositions, the contraction-to-unitary map, determinants."""
 
+import json
+
 import numpy as np
 import pytest
 
 from tracekit import unitary
+from tracekit.cli import main
+from tracekit.formats import write_matrix_market
 from tracekit.linalg import hermitian_eigh
 from tracekit.sphere import GaussianStream, StreamSpec, gaussian_matrix
 from tracekit.unitary import (
@@ -29,6 +33,11 @@ def operator_norm(h):
     takes it from its own solve of h."""
     w = hermitian_eigh(h)[0]
     return max(abs(w[0]), abs(w[-1]))
+
+
+def pairs(value) -> np.ndarray:
+    """A JSON [re, im] pair, or nested pairs, as complex128, -0.0 kept."""
+    return np.array(value).view(np.complex128)[..., 0]
 
 
 def random_contraction(rng, n):
@@ -173,22 +182,31 @@ class TestDecompose:
             )
 
 
-    def test_det_one_rephases_terms_and_residuals(self):
+    def test_det_one_rephases_terms_and_residuals(self, capsys, tmp_path):
+        # README's recipe: rephase_to_det_one of each term read from the
+        # `decompose` report is bitwise that of the in-process term.  At
+        # n = 1, U = -1 and U = +1, and U* carries a -0.0 whose sign picks
+        # the branch of the log.  The report writes it as "-0", which
+        # json.loads reads as the integer 0 without parse_int=float, and
+        # re + 1j * im would drop it too
         rng = np.random.default_rng(309)
-        a = crandn(rng, 5, 5)
-        plain = decompose_into_unitaries(a)
-        dec = decompose_into_unitaries(a, det_one=True)
-        assert len(dec.coefficients) == len(plain.coefficients)
-        for c, u, c0, u0 in zip(dec.coefficients, dec.unitaries,
-                                plain.coefficients, plain.unitaries):
-            u1, c1 = rephase_to_det_one(u0, c0)
-            assert c == c1 and np.array_equal(u, u1)
-            assert abs(determinant(u) - 1.0) <= 1e-8
-        total = sum(c * u for c, u in zip(dec.coefficients, dec.unitaries))
-        assert dec.reconstruction_residual == pytest.approx(
-            np.linalg.norm(total - a), rel=1e-12, abs=1e-15)
-        assert dec.reconstruction_residual <= 1e-10 * np.linalg.norm(a)
-        assert dec.unitarity_residual <= 1e-10 * 5
+        path = tmp_path / "a.mm"
+        for a in (np.array([[-2.0]]), np.array([[3.0]]), crandn(rng, 2, 2), crandn(rng, 7, 7)):
+            path.write_text(write_matrix_market(a))
+            assert main(["decompose", str(path)]) == 0
+            doc = json.loads(capsys.readouterr().out, parse_int=float)
+            read = [(pairs(t["unitary"]), pairs(t["coefficient"])) for t in doc["terms"]]
+            dec = decompose_into_unitaries(a)
+            assert len(read) == len(dec.unitaries)
+            total = np.zeros_like(a, dtype=np.complex128)
+            for (u, c), u0, c0 in zip(read, dec.unitaries, dec.coefficients):
+                u1, c1 = rephase_to_det_one(u, c)
+                expected = rephase_to_det_one(u0, c0)
+                assert np.array_equal(u1.view(np.uint64), expected[0].view(np.uint64))
+                assert np.complex128(c1).tobytes() == np.complex128(expected[1]).tobytes()
+                assert abs(determinant(u1) - 1.0) <= 1e-8
+                total += c1 * u1
+            assert np.linalg.norm(total - a) <= dec.reconstruction_bound
 
     @pytest.mark.parametrize("n", [1, 2, 5, 32])
     def test_coefficients_are_half_the_rescaled_norms(self, n):
