@@ -13,7 +13,6 @@ estimator inherits sample by sample.
 from .estimator import (
     EstimateReport,
     RunningStats,
-    commutation_estimate_check,
     estimate_trace,
     merge_stats,
     stats_from_values,
@@ -64,7 +63,6 @@ __all__ = [
     "StreamSpec",
     "UnitaryDecomposition",
     "build_constraint_system",
-    "commutation_estimate_check",
     "decompose_into_unitaries",
     "determinant",
     "estimate_trace",

@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import _ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm
-from .sphere import CHUNK_OFFSET_PAIRED, CHUNK_SIZE, StreamSpec, map_chunks
+from .sphere import CHUNK_SIZE, StreamSpec, map_chunks
 
 __all__ = [
     "LinearOperator",
@@ -47,7 +47,6 @@ __all__ = [
     "EstimateReport",
     "estimate_trace",
     "substitution_identity_sweep",
-    "commutation_estimate_check",
 ]
 
 _DELTA = 1e-9  # a correct estimate is beyond its radius with at most this probability
@@ -183,18 +182,12 @@ def estimate_trace(a, n_samples: int, spec: StreamSpec, *, z: float = 3.0) -> Es
     abs_error() among them, as does a z so large that z * stderr is.  The
     raw trace tr(A) is n times mean, exact, stderr and ci_radius.
     """
-    return _estimate(as_matrix(a), 0, n_samples, spec, z)
-
-
-def _estimate(m: np.ndarray, e: int, n_samples: int, spec: StreamSpec,
-              z: float = 3.0) -> EstimateReport:
-    """estimate_trace of the matrix m * 2**e."""
+    m = as_matrix(a)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not z > 0.0:
         raise ValueError(f"z must be > 0, got {z}")
-    s, e_s = _unit_peak(m)
-    e += e_s
+    s, e = _unit_peak(m)
     op = LinearOperator(s)
     n = s.shape[0]
 
@@ -236,8 +229,9 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     draws is held.  The gaps are of A / 2**e, scaled exactly to unit peak
     (linalg._unit_peak) so that none overflows, and are scaled back.
     Returns (max_gap, rho, bound) with rho = ||B* B - I||_F; raises ValueError
-    when rho exceeds 1e-10 (x = B* z is then no change of variables).  The
-    bound on each gap, from README, is
+    when rho exceeds 1e-10 (x = B* z is then no change of variables), and,
+    after the matrix checks, when n_samples < 1 (no draw checks nothing).
+    The bound on each gap, from README, is
     (16 sqrt(n) gamma_{3n+2} + 2 n gamma_{2n} + rho) ||A||_F + 9 n^2 eta.
     """
     am = as_matrix(a, "a")
@@ -248,6 +242,8 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
         unitarity = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
     if not unitarity <= 1e-10:
         raise ValueError(f"b is not unitary: ||B*B - I||_F = {unitarity:.3e}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     s, e = _unit_peak(am)
     b_conj = np.conj(bm)
     ab_t = (s @ bm).T
@@ -273,23 +269,3 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     k = 16 * n**0.5 * (3 * n + 2) + 4 * n * n  # as c gamma_k <= gamma_{ck}
     bound = _rounding_bound(k, norm, 9 * n * n, e) + math.ldexp(unitarity * norm, e)
     return math.ldexp(float(max_gap), e), unitarity, bound
-
-
-def commutation_estimate_check(a, b, n_samples: int, spec: StreamSpec):
-    """Estimate the normalized traces of AB and BA from independent draws.
-
-    The second estimate runs on the paired substream block at
-    spec.offset(2**32) so the two never share samples.  Both reports
-    carry the exact normalized trace (equal for the two products, up to
-    rounding in forming them).  The products are formed from A / 2**ea and
-    B / 2**eb (linalg._unit_peak), so none overflows, and the reports are
-    scaled back by 2**(ea + eb).  Returns (report_ab, report_ba).
-    """
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    (sa, ea), (sb, eb) = _unit_peak(am), _unit_peak(bm)
-    rep_ab = _estimate(sa @ sb, ea + eb, n_samples, spec)
-    rep_ba = _estimate(sb @ sa, ea + eb, n_samples, spec.offset(CHUNK_OFFSET_PAIRED))
-    return rep_ab, rep_ba

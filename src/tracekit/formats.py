@@ -127,9 +127,9 @@ def parse_matrix_market(text) -> np.ndarray:
     symmetric storage, a non-finite value, a hermitian diagonal entry
     with an imaginary part; within a kind, the first line in the file.
 
-    Transient memory is about 4x the text (it was 9x): the list of lines
-    is dropped once the data lines are joined into one string, and that
-    string is converted in one numpy call, with no Python object per number.
+    Transient memory is about 4x the text: the list of lines is dropped
+    once the data lines are joined into one string, and that string is
+    converted in one numpy call, with no Python object per number.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")

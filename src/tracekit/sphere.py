@@ -23,11 +23,10 @@ Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
 sample j of a run based at stream_index b is drawn from stream
 b + j // CHUNK_SIZE, at offset j % CHUNK_SIZE within it.  The layout
 depends only on (master_seed, b), never on how chunks are assigned to
-threads.  Offsets b + 2**32 and b + 2**48 are reserved for auxiliary
-draws (paired second estimates, and the seeded unitary B of
-`check-invariance --random-unitary`), so a single run keeps below 2**32
-chunks.  `map_chunks` draws the chunks of a layout on a thread pool, one
-per CPU this process may use.  Each chunk is drawn in blocks of 512 rows
+threads.  Offset b + 2**48 is reserved for the seeded unitary B of
+`check-invariance --random-unitary`, so a single run keeps to at most
+2**48 chunks.  `map_chunks` draws the chunks of a layout on a thread
+pool, one per CPU this process may use.  Each chunk is drawn in blocks of 512 rows
 into one buffer that the chunk reuses, and a row-wise function of each
 block is kept, so a thread holds one block of draws, never a whole chunk;
 the per-row results come back in chunk order.
@@ -51,13 +50,11 @@ __all__ = [
     "chunk_layout",
     "map_chunks",
     "CHUNK_SIZE",
-    "CHUNK_OFFSET_PAIRED",
     "CHUNK_OFFSET_PROBES",
 ]
 
 CHUNK_SIZE = 4096  # draws per chunk; reports depend on it
-# Reserved stream_index offsets relative to an estimate's base index.
-CHUNK_OFFSET_PAIRED = 2**32
+# The reserved stream_index offset relative to an estimate's base index.
 CHUNK_OFFSET_PROBES = 2**48
 
 # Rows drawn and evaluated at a time, bounding a thread's temporaries; the
@@ -187,7 +184,7 @@ def chunk_layout(spec: StreamSpec, count: int):
     from substream spec.offset(c).  Arguments are checked at the call."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count > CHUNK_OFFSET_PAIRED * CHUNK_SIZE:
+    if count > CHUNK_OFFSET_PROBES * CHUNK_SIZE:
         raise ValueError(f"{count} draws would reach the reserved substream offsets")
     return (
         (lo, min(lo + CHUNK_SIZE, count), spec.offset(lo // CHUNK_SIZE))

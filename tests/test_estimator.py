@@ -12,7 +12,6 @@ from tracekit.estimator import (
     _split_sums,
     LinearOperator,
     RunningStats,
-    commutation_estimate_check,
     estimate_trace,
     merge_stats,
     stats_from_values,
@@ -289,6 +288,8 @@ class TestEstimateTrace:
         assert 0.4 <= large.stderr / small.stderr <= 0.6
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="non-finite"):  # the matrix is checked first
+            estimate_trace([[np.nan]], 0, StreamSpec(0, 0))
         with pytest.raises(ValueError, match="n_samples"):
             estimate_trace(np.eye(2), 0, StreamSpec(0, 0))
         with pytest.raises(ValueError, match="z must be > 0"):
@@ -406,6 +407,9 @@ class TestSubstitutionSweep:
             substitution_identity_sweep(np.eye(2), 2.0 * np.eye(2), 10, StreamSpec(0, 0))
         with pytest.raises(ValueError, match="mismatch"):
             substitution_identity_sweep(np.eye(2), np.eye(3), 10, StreamSpec(0, 0))
+        for n_samples in (0, -1):  # no draw checks nothing, so nothing passes
+            with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}$"):
+                substitution_identity_sweep(np.eye(2), np.eye(2), n_samples, StreamSpec(0, 0))
 
 
 class TestEstimateMatrixTrace:
@@ -537,61 +541,34 @@ class TestGateRadius:
         assert rep.radius == np.inf and gate_passes(rep)
 
 
-class TestCommutationCheck:
-    def test_diagonal_exact_oracle_equality(self):
-        a = np.diag([1.0 + 1j, 2.0, -3.0])
-        b = np.diag([0.5, -1.5j, 2.0 + 2j])
-        rep_ab, rep_ba = commutation_estimate_check(a, b, 200, StreamSpec(11, 0))
-        assert rep_ab.exact == rep_ba.exact
+class TestCommutationRecipe:
+    """README's f(AB) = f(BA) check: two estimates on disjoint substreams."""
 
-    def test_random_pair_estimates_agree(self):
-        rng = np.random.default_rng(217)
-        a = crandn(rng, 4, 4)
-        b = crandn(rng, 4, 4)
-        rep_ab, rep_ba = commutation_estimate_check(a, b, 100000, StreamSpec(13, 0))
-        assert rep_ab.exact == pytest.approx(rep_ba.exact, rel=1e-12)
-        gap = abs(rep_ab.mean - rep_ba.mean)
-        assert gap <= 4.0 * (rep_ab.stderr + rep_ba.stderr)
+    @staticmethod
+    def reports(a, b, n_samples, spec):
+        return estimate_trace(a @ b, n_samples, spec), estimate_trace(
+            b @ a, n_samples, spec.offset(2**32))
 
-    def test_matrix_unit_pair(self):
-        # e_01 e_10 = e_00 and e_10 e_01 = e_11, both with normalized
-        # trace 1/2
-        a = matrix_unit(0, 1, 2)
-        b = matrix_unit(1, 0, 2)
-        rep_ab, rep_ba = commutation_estimate_check(a, b, 20000, StreamSpec(15, 0))
-        assert rep_ab.exact == 0.5 + 0j
-        assert rep_ba.exact == 0.5 + 0j
-        assert abs(rep_ab.mean - 0.5) <= 4.0 * rep_ab.stderr
-        assert abs(rep_ba.mean - 0.5) <= 4.0 * rep_ba.stderr
-
-    def test_streams_are_independent(self):
-        a = np.diag([1.0, 2.0])
-        rep_ab, rep_ba = commutation_estimate_check(a, np.eye(2), 500, StreamSpec(1, 0))
-        assert rep_ab.spec.stream_index + 2**32 == rep_ba.spec.stream_index
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            commutation_estimate_check(np.eye(2), np.eye(3), 10, StreamSpec(0, 0))
-
-    def test_products_are_of_the_scaled_factors(self):
-        # AB and BA are formed from A / 2**ea and B / 2**eb, so tr(AB) / n =
-        # 2e400 is refused in one line, with no warning and no blame on the
-        # finite inputs, and (A 2**k, B 2**-k) gives the reports of (A, B)
-        huge = np.full((2, 2), 1e200)
-        rng = np.random.default_rng(226)
-        a, b = crandn(rng, 3, 3), crandn(rng, 3, 3)
-        fields = ("mean", "stderr", "ci_radius", "exact", "rounding_floor")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows float64; rescale the matrix$"):
-                commutation_estimate_check(huge, huge, 8, StreamSpec(0, 0))
-            base = commutation_estimate_check(a, b, 500, StreamSpec(3, 0))
-            for k in (1, 60, -400, 900):
-                shifted = commutation_estimate_check(a * 2.0**k, b * 2.0**-k, 500,
-                                                     StreamSpec(3, 0))
-                for rep, rep_k in zip(base, shifted):
-                    assert [getattr(rep_k, f) for f in fields] == [getattr(rep, f)
-                                                                   for f in fields]
+    @pytest.mark.parametrize("pair, n_samples", [
+        ("random", 100000),
+        ("matrix-units", 20000),  # e_01 e_10 = e_00, e_10 e_01 = e_11
+    ])
+    def test_estimates_agree_and_scale_exactly(self, pair, n_samples):
+        if pair == "random":
+            rng = np.random.default_rng(217)
+            a, b = crandn(rng, 4, 4), crandn(rng, 4, 4)
+        else:
+            a, b = matrix_unit(0, 1, 2), matrix_unit(1, 0, 2)
+        spec = StreamSpec(13, 0)
+        ab, ba = self.reports(a, b, n_samples, spec)
+        assert ab.exact == pytest.approx(ba.exact, rel=1e-12)
+        if pair == "matrix-units":
+            assert ab.exact == ba.exact == 0.5
+        allowed = ab.radius + ab.rounding_floor + ba.radius + ba.rounding_floor
+        assert abs(ab.mean - ba.mean) <= allowed
+        for k in (1, 60, -400):
+            scaled = self.reports(a * 2.0**k, b * 2.0**-k, n_samples, spec)
+            assert [repr(r) for r in scaled] == [repr(ab), repr(ba)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

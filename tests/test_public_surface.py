@@ -1,6 +1,7 @@
 """Every public name of a layer module has a caller outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +53,16 @@ def test_every_public_name_has_a_caller():
               for name in _public_names(_tree(path))
               if name not in used and (layer, name) not in traced]
     assert unused == [], f"public names that only tests use: {unused}"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # syntax newer than pyproject.toml's requires-python (an except* clause
+    # under >= 3.10) fails to parse at that feature version
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                         (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    floor = (int(declared[1]), int(declared[2]))
+    paths = [p for d in ("src", "tests", "demos", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

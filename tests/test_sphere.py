@@ -8,7 +8,6 @@ from scipy.special import ndtri
 
 from tracekit import sphere
 from tracekit.sphere import (
-    CHUNK_OFFSET_PAIRED,
     CHUNK_OFFSET_PROBES,
     GaussianStream,
     StreamSpec,
@@ -51,8 +50,6 @@ class TestStreamSpec:
             spec.master_seed = 3
 
     def test_reserved_offsets_are_distinct(self):
-        assert CHUNK_OFFSET_PAIRED != CHUNK_OFFSET_PROBES
-        assert CHUNK_OFFSET_PAIRED == 2**32
         assert CHUNK_OFFSET_PROBES == 2**48
 
 
@@ -228,7 +225,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         sample_unit_vectors_chunked(StreamSpec(0, 0), 3, -1)
     with pytest.raises(ValueError, match="reserved"):  # raised before any allocation
-        sample_unit_vectors_chunked(StreamSpec(0, 0), 3, CHUNK_OFFSET_PAIRED * CHUNK + 1)
+        sample_unit_vectors_chunked(StreamSpec(0, 0), 3, CHUNK_OFFSET_PROBES * CHUNK + 1)
+    # the longest run's last chunk is the substream just below the reserved one;
+    # the layout is lazy, so this allocates nothing
+    spec = StreamSpec(0, 0)
+    assert next(sphere.chunk_layout(spec, CHUNK_OFFSET_PROBES * CHUNK)) == (0, CHUNK, spec)
 
 
 class TestChunkedLayout:
