@@ -181,11 +181,16 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
 def chunk_layout(spec: StreamSpec, count: int):
     """Lazily, the (lo, hi, substream) of each chunk of a `count`-draw run:
     chunk c holds draws [c * CHUNK_SIZE, min((c + 1) * CHUNK_SIZE, count))
-    from substream spec.offset(c).  Arguments are checked at the call."""
+    from substream spec.offset(c).  Arguments are checked at the call, the
+    last chunk's stream index against 2**64 - 1 among them."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count > CHUNK_OFFSET_PROBES * CHUNK_SIZE:
         raise ValueError(f"{count} draws would reach the reserved substream offsets")
+    chunks = -(-count // CHUNK_SIZE)
+    if int(spec.stream_index) + chunks > 2**64:
+        raise ValueError(f"a run of {chunks} chunks based at stream_index "
+                         f"{spec.stream_index} passes 2**64 - 1")
     return (
         (lo, min(lo + CHUNK_SIZE, count), spec.offset(lo // CHUNK_SIZE))
         for lo in range(0, count, CHUNK_SIZE)

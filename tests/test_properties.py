@@ -9,6 +9,7 @@ same inputs.
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from tracekit.unitary import (  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
-# tokens near the grammar's edges: small indices and sizes, extreme and
+# tokens near the token rule's edges: small indices and sizes, extreme and
 # non-finite numbers, and numerals Python reads but Matrix Market does not
 JUNK = ["", "-", "+", ".", "e5", "abc", "0x10", "1_0", "1_000.5", "١", "２.5",
         "nan", "inf", "-inf", "1e999", "9" * 400, "1e308", "-1.7e308", "5e-324"]
@@ -140,6 +141,60 @@ def test_parse_matches_per_entry_reference(text):
     except MatrixMarketError:
         return
     assert a.tobytes() == per_entry(text).tobytes()
+
+
+# The reader's token rule checked against the regex grammar it replaced:
+# separators, then decimals (nan and inf only to be rejected as non-finite)
+# and integers, all ASCII
+ORACLE_SPACE = r"[ \t\r\v\f\x1c-\x1f]"
+ORACLE_INT = r"[+-]?[0-9]+"
+ORACLE_REAL = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf(?:inity)?))"
+# digits, signs, ".", exponents, "_", "x", the letters of nan and inf,
+# non-ASCII digits, and the separators of str.split(), ASCII or not
+TOKEN_PIECES = ["0", "1", "7", "09", "+", "-", ".", "e", "E", "_", "x", "nan", "NaN", "inf",
+                "Inf", "inity", "INITY", "n", "a", "i", "f", "t", "y", "\u0661", "\uff12",
+                "\u0969", " ", "\t", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+                "\x85", "\xa0", "\u2028", "\u3000"]
+TOKEN_TEXT = st.one_of(
+    st.lists(st.sampled_from(TOKEN_PIECES), max_size=6).map("".join),
+    st.text(alphabet="".join(TOKEN_PIECES), max_size=8),
+    st.floats().map(repr),
+    # signs, digits and separators: near-integers
+    st.lists(st.sampled_from(["+", "-", "0", "1", "7", "09", " ", "\x1c", "\xa0", "_", "\u0661"]),
+             min_size=1, max_size=5).map("".join),
+)
+
+
+def _oracle(pattern: str, text: str) -> bool:
+    return re.fullmatch(f"{ORACLE_SPACE}*{pattern}{ORACLE_SPACE}*", text) is not None
+
+
+@settings(SETTINGS, max_examples=500)
+@given(TOKEN_TEXT)
+def test_token_rule_accepts_the_old_grammar(token):
+    # a one-entry real file reads the token exactly where the decimal grammar
+    # matches it, with float()'s bits; a coordinate file takes it as an index
+    # exactly where the integer grammar does
+    try:
+        a = parse_matrix_market(f"%%MatrixMarket matrix array real general\n1 1\n{token}\n")
+        accepted = True
+    except MatrixMarketError as exc:
+        accepted = str(exc).startswith("line 3: non-finite value")
+        a = None
+    assert accepted == _oracle(ORACLE_REAL, token)
+    if a is not None:
+        assert a.view(np.float64).tobytes() == np.array([float(token.split()[0]), 0.0]).tobytes()
+    try:
+        a = parse_matrix_market(f"%%MatrixMarket matrix coordinate real general\n"
+                                f"9 1 1\n{token} 1 2.5\n")
+        accepted = True
+    except MatrixMarketError as exc:
+        accepted = str(exc).startswith("line 3: index out of range")
+        a = None
+    assert accepted == _oracle(ORACLE_INT, token)
+    if a is not None:
+        i = int(token.split()[0]) - 1
+        assert np.flatnonzero(a).tolist() == [i] and a[i, 0] == 2.5
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

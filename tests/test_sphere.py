@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 from tracekit import sphere
+from tracekit.estimator import estimate_trace, substitution_identity_sweep
 from tracekit.sphere import (
     CHUNK_OFFSET_PROBES,
     GaussianStream,
@@ -230,6 +231,33 @@ def test_validation_errors():
     # the layout is lazy, so this allocates nothing
     spec = StreamSpec(0, 0)
     assert next(sphere.chunk_layout(spec, CHUNK_OFFSET_PROBES * CHUNK)) == (0, CHUNK, spec)
+
+
+@pytest.mark.parametrize("base, count, chunks", [
+    (2**64 - 1, CHUNK + 1, 2),
+    (2**64 - 2, 3 * CHUNK, 3),
+    (2**64 - 2, 2 * CHUNK + 1, 3),
+])
+def test_run_past_the_last_substream_raises_before_any_draw(monkeypatch, base, count, chunks):
+    # the run's last chunk would need stream index 2**64 or more: the call
+    # names the base and the chunk count, and no chunk is drawn first
+    def no_draw(self, count):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(GaussianStream, "raw_words", no_draw)
+    spec = StreamSpec(0, base)
+    message = f"^a run of {chunks} chunks based at stream_index {base} passes 2\\*\\*64 - 1$"
+    with pytest.raises(ValueError, match=message):
+        sphere.chunk_layout(spec, count)
+    with pytest.raises(ValueError, match=message):
+        estimate_trace(np.diag([1.0, 2.0]), count, spec)
+    with pytest.raises(ValueError, match=message):
+        substitution_identity_sweep(np.diag([1.0, 2.0]), np.eye(2), count, spec)
+    # the last chunk may take stream index 2**64 - 1 itself
+    monkeypatch.undo()
+    last = list(sphere.chunk_layout(StreamSpec(0, 2**64 - chunks), count))
+    assert [s.stream_index for _, _, s in last][-1] == 2**64 - 1
+    assert estimate_trace(np.eye(2), 2, StreamSpec(0, 2**64 - 1)).mean == 1.0
 
 
 class TestChunkedLayout:
