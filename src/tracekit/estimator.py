@@ -12,20 +12,20 @@ Conventions fixed here and relied on everywhere else:
 
 - Inner products are linear in the first slot and conjugate-linear in
   the second: <u, v> = sum_k u[k] * conj(v[k]).
-- The per-sample value is the Rayleigh quotient <A x, x> / <x, x>.
-  Sample vectors are unit only up to rounding; dividing by the computed
-  squared norm cancels that rounding instead of bounding it.  Numerator
-  and denominator are accumulated in real arithmetic (real and
-  imaginary parts separately), which makes the two sums for the
-  identity operator bitwise equal: every identity sample is exactly
-  1.0 + 0.0j, so the estimate of the identity has zero variance.
+- The per-sample value is the Rayleigh quotient <A z, z> / <z, z> of the
+  Gaussian row z of `sphere.map_chunks`, its value at z / ||z||: no row
+  is normalized.  Re <A z, z> and <z, z> are dot products over the rows'
+  float views, in one order, and Im <A z, z> takes its two sums on one
+  code path, so every identity sample is exactly 1.0 + 0.0j and the
+  estimate of the identity has zero variance.
 - The draws of an estimate based at StreamSpec(seed, b) follow the
   fixed chunk layout of `sphere.map_chunks`, which evaluates the chunks
   on a thread pool; each chunk's statistics are merged in chunk order, so
   reports are bitwise reproducible for a fixed (seed, n_samples)
   regardless of the pool's thread count (the CPU affinity).  The BLAS
   kernel, at any n, and the BLAS thread count, from about n = 130, can
-  change the last bits of the operator apply, and so of a report.
+  change the last bits of the operator apply, and so of a report; so
+  can the summation order of numpy's einsum, fixed when numpy is built.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import _ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm
-from .sphere import CHUNK_SIZE, StreamSpec, map_chunks
+from .sphere import CHUNK_SIZE, _NO_DIRECTION, StreamSpec, _normalize, map_chunks
 
 __all__ = [
     "LinearOperator",
@@ -67,19 +67,16 @@ class LinearOperator:
         return x @ self.matrix.T  # row v -> (A @ v) as a row
 
 
-def _split_sums(v: np.ndarray, x: np.ndarray):
-    """Real-arithmetic pieces of <v, x> and <x, x>, summed along the last axis."""
-    vr, vi = v.real, v.imag
-    xr, xi = x.real, x.imag
-    re = np.sum(vr * xr + vi * xi, axis=-1)
-    im = np.sum(vi * xr - vr * xi, axis=-1)
-    sq = np.sum(xr * xr + xi * xi, axis=-1)
-    return re, im, sq
-
-
-def _rayleigh_values(images: np.ndarray, x: np.ndarray) -> np.ndarray:
-    re, im, sq = _split_sums(images, x)
-    return (re / sq) + 1j * (im / sq)
+def _quotients(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<v, z> / <z, z> for each row z of z and v of v, C-contiguous (m, n) complex
+    arrays.  Re <v, z> and <z, z> are dot products of the rows' float views,
+    and Im <v, z> = sum vi zr - sum vr zi takes both sums on one code path."""
+    vf, zf = v.view(np.float64), z.view(np.float64)
+    sq = np.einsum("ij,ij->i", zf, zf)
+    if not sq.all():
+        raise RuntimeError(_NO_DIRECTION)
+    im = np.einsum("ij,ij->i", v.imag, z.real) - np.einsum("ij,ij->i", v.real, z.imag)
+    return np.einsum("ij,ij->i", vf, zf) / sq + 1j * (im / sq)
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ def estimate_trace(a, n_samples: int, spec: StreamSpec, *, z: float = 3.0) -> Es
     n = s.shape[0]
 
     def values(rows: np.ndarray) -> np.ndarray:
-        return _rayleigh_values(op.apply_batch(rows), rows)
+        return _quotients(op.apply_batch(rows), rows)
 
     total = RunningStats()
     for _, chunk in map_chunks(values, spec, n, n_samples):
@@ -250,8 +247,9 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     ba_t = (bm @ s).T
 
     def gaps(z: np.ndarray) -> np.ndarray:
-        # rows are draws: row z maps to row x = z conj(B), i.e. x = B* z;
-        # two block-sized buffers, x and p, hold every product in turn
+        # rows are draws, normalized in place: row z maps to row x = z conj(B),
+        # i.e. x = B* z; two block-sized buffers, x and p, hold every product
+        z = _normalize(z)
         x = z @ b_conj
         p = x @ ab_t
         p *= np.conj(x, out=x)

@@ -12,11 +12,12 @@ r maps to u = min(((r >> 11) + 0.5) * 2**-53, 1 - 2**-53), which lies in
 z = ndtri(u).  One word per normal, no rejection, so the mapping from
 counter position to draw is fixed for all time.
 
-A unit vector in C^n consumes exactly 2n words: entry k is built from
-words (2k, 2k+1) as (real, imag), then the vector is divided by its
-Euclidean norm.  Rotation invariance of the Gaussian makes the result
-uniform on the sphere.  A normal is 0 only for top 53 bits 2**52, and at
-least ~1.39e-16 otherwise; a row whose 2n normals are all 0 (odds
+A Gaussian row in C^n consumes exactly 2n words: entry k is built from
+words (2k, 2k+1) as (real, imag).  Divided by its Euclidean norm it is a
+unit vector, uniform on the sphere by rotation invariance of the
+Gaussian; a function of the direction alone, such as a Rayleigh quotient,
+can take the row as it is.  A normal is 0 only for top 53 bits 2**52, and
+at least ~1.39e-16 otherwise; a row whose 2n normals are all 0 (odds
 2**-106n) has no direction, and the draw raises RuntimeError.
 
 Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
@@ -26,9 +27,9 @@ depends only on (master_seed, b), never on how chunks are assigned to
 threads.  Offset b + 2**48 is reserved for the seeded unitary B of
 `check-invariance --random-unitary`, so a single run keeps to at most
 2**48 chunks.  `map_chunks` draws the chunks of a layout on a thread
-pool, one per CPU this process may use.  Each chunk is drawn in blocks of 512 rows
-into one buffer that the chunk reuses, and a row-wise function of each
-block is kept, so a thread holds one block of draws, never a whole chunk;
+pool, one per CPU this process may use.  Each chunk is drawn in blocks of 512
+Gaussian rows into one buffer that the chunk reuses, and a row-wise function of
+each block is kept, so a thread holds one block of draws, never a whole chunk;
 the per-row results come back in chunk order.
 """
 
@@ -61,6 +62,7 @@ CHUNK_OFFSET_PROBES = 2**48
 # draws are the same for any height.
 _BLOCK_ROWS = 512
 _U_MAX = 1.0 - 2.0**-53  # largest double below 1
+_NO_DIRECTION = "the sampler drew a row of zero normals; no unit vector"
 _U64 = np.uint64
 
 
@@ -129,26 +131,24 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(z.real * z.real + z.imag * z.imag, axis=-1))
 
 
-def _unit_rows(stream: GaussianStream, n: int, out: np.ndarray) -> np.ndarray:
-    """The next unit vectors of `stream`, 2*n words each, drawn into the 1-d
-    float64 array `out` and returned as a (rows, n) view of it.  Raises
-    RuntimeError on a row whose 2*n normals are all exactly zero."""
-    x = stream.gaussians(out.size, out=out).view(np.complex128).reshape(-1, n)
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """The rows of the C-contiguous (rows, n) array x, each multiplied in place
+    by 1 / sqrt(sum(re^2 + im^2)) of its entries; a zero row raises."""
     norms = _row_norms(x)
     if not norms.all():
-        raise RuntimeError("the sampler drew a row of zero normals; no unit vector")
+        raise RuntimeError(_NO_DIRECTION)
     # spelled out as a multiply by 1 / norm: numpy divides complex by real
     # as (re + im*0) * (1/d), (im - re*0) * (1/d), which differs from this
     # only on an entry of -0.0, and ndtri yields +0.0, never -0.0
-    parts = out.reshape(-1, 2 * n)  # a view of x
+    parts = x.view(np.float64)
     parts *= (1.0 / norms)[:, None]
     return x
 
 
 def _map_rows(fn, stream: GaussianStream, n: int, count: int) -> np.ndarray:
-    """fn of the sample_unit_vectors(stream, n, count) draw, _BLOCK_ROWS rows
-    at a time: row r of the result is fn's row for draw r, from exactly its
-    2*n words.  A row whose normals are all zero raises (see _unit_rows)."""
+    """fn of the next `count` Gaussian rows of `stream`, _BLOCK_ROWS rows at a
+    time: row r of the result is fn's row for the (n,) complex row r, taken
+    from exactly its 2*n words, entry k from words (2k, 2k+1)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if count < 0:
@@ -157,15 +157,12 @@ def _map_rows(fn, stream: GaussianStream, n: int, count: int) -> np.ndarray:
     values = None
     for lo in range(0, max(count, 1), _BLOCK_ROWS):  # count 0: one empty block
         hi = min(lo + _BLOCK_ROWS, count)
-        rows = fn(_unit_rows(stream, n, block[:2 * n * (hi - lo)]))
+        words = stream.gaussians(2 * n * (hi - lo), out=block[:2 * n * (hi - lo)])
+        rows = fn(words.view(np.complex128).reshape(-1, n))
         if values is None:
             values = np.empty((count, *rows.shape[1:]), dtype=rows.dtype)
         values[lo:hi] = rows
     return values
-
-
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
 
 
 def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarray:
@@ -175,7 +172,7 @@ def sample_unit_vectors(stream: GaussianStream, n: int, count: int) -> np.ndarra
     the same rows.  Each row is multiplied by 1 / sqrt(sum(re^2 + im^2)) of
     its entries; a row of 2*n zero normals raises RuntimeError.
     """
-    return _map_rows(_identity, stream, n, count)
+    return _map_rows(_normalize, stream, n, count)
 
 
 def chunk_layout(spec: StreamSpec, count: int):
@@ -207,13 +204,15 @@ def _cpus() -> int:
 
 def map_chunks(fn, spec: StreamSpec, n: int, count: int):
     """Lazily, (lo, values) for each chunk of chunk_layout(spec, count), in
-    chunk order, where values[r] is fn's result for row r of the chunk's
-    (hi - lo, n) sample_unit_vectors draw from its substream.
+    chunk order, where values[r] is fn's result for Gaussian row r of the
+    chunk's substream: the row that sample_unit_vectors(stream, n, hi - lo)
+    normalizes into its row r.
 
-    fn maps a (rows, n) array of draws to one result per row, each from
-    its own row alone.  It is called once on each block of 512 rows,
-    drawn from exactly 2*n words per vector into a buffer the chunk
-    reuses; numpy warnings from fn are not silenced.
+    fn maps a C-contiguous (rows, n) complex array of Gaussian rows to one
+    result per row, each from its own row alone, and raises RuntimeError
+    on a zero row where it needs a direction.  It is called once on each
+    block of 512 rows, drawn from exactly 2*n words per row into a buffer
+    the chunk reuses; numpy warnings from fn are not silenced.
 
     Chunks run on a pool of one thread per CPU this process may use, at
     most two per thread ahead of the consumer, so fn must be thread-safe.
@@ -248,9 +247,9 @@ def _pooled(fn, layout, threads: int):
 
 
 def sample_unit_vectors_chunked(spec: StreamSpec, n: int, count: int) -> np.ndarray:
-    """Draw `count` unit vectors in the `chunk_layout` at `spec`: the exact
-    sequence an estimator based at `spec` consumes, for any thread count."""
-    chunks = map_chunks(_identity, spec, n, count)  # checks the arguments first
+    """Draw `count` unit vectors in the `chunk_layout` at `spec`, for any thread
+    count: the rows map_chunks at `spec` hands fn, normalized."""
+    chunks = map_chunks(_normalize, spec, n, count)  # checks the arguments first
     out = np.empty((count, n), dtype=np.complex128)
     for lo, x in chunks:
         out[lo:lo + len(x)] = x

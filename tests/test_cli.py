@@ -794,3 +794,48 @@ def test_sample_bytes_do_not_depend_on_the_blas_kernel():
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1] and outputs[0].startswith(b"[[[")
+
+
+# sha256 of `sample --dim 8 --count K` and of `check-invariance --random-unitary
+# --samples 5000 --seed 3` on a complex Gaussian n x n: both normalize the
+# Gaussian rows that map_chunks hands them, and these bytes pin that arithmetic
+SAMPLE_SHA256 = {
+    1: "0481fe5acae768e818d45efd00ef1b1774117ec387cfb400db0399f98ad2c181",
+    4097: "d39a2d9c32cebf1997144421c9c76fd04dd4e8eb3a3bd7f2c22273665e57acd8",
+    5000: "d62a8d7d3468c602ec10cf212189cd80e5428bc50f44c50a3b214602ffe31b8c",
+}
+INVARIANCE_SHA256 = {  # under OpenBLAS 0.3.31's Haswell kernel, one BLAS thread
+    1: "70c692334aadf566b6a3c8300918d064d2ac9be04d0d86e3d95356b9a380dd39",
+    2: "cd5f28ddd421d53d85e1496c047114b2c37d48b60bf456bcdb2f7ea1255eeafb",
+    8: "eeee8317a680278cacc6f6bbf171379590c81a8ece9069ec7698abc4d0825159",
+    32: "6d232e95a7a16369e5c9be4a2e7890b0774a969e2b175ec5f8f72c8ed9321523",
+}
+
+
+def test_sample_and_invariance_bytes_are_pinned(tmp_path):
+    # the gaps depend on the BLAS kernel, so the child fixes it and the BLAS
+    # thread count; the draws themselves depend on neither
+    commands = {f"sample-{k}": ["sample", "--dim", "8", "--count", str(k)] for k in SAMPLE_SHA256}
+    for n in INVARIANCE_SHA256:
+        rng = np.random.default_rng(900 + n)
+        matrix = tmp_path / f"a{n}.mm"
+        matrix.write_text(write_matrix_market(crandn(rng, n, n)))
+        commands[f"invariance-{n}"] = ["check-invariance", str(matrix), "--random-unitary",
+                                       "--samples", "5000", "--seed", "3"]
+    script = (
+        "import hashlib, json, sys\n"
+        "from tracekit.cli import main\n"
+        "digests = {}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        f"    path = {str(tmp_path / 'out.json')!r}\n"
+        "    assert main(argv + ['--output', path]) == 0, name\n"
+        "    digests[name] = hashlib.sha256(open(path, 'rb').read()).hexdigest()\n"
+        "print(json.dumps(digests))\n"
+    )
+    env = dict(_child_env(), OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    pinned = {**{f"sample-{k}": v for k, v in SAMPLE_SHA256.items()},
+              **{f"invariance-{n}": v for n, v in INVARIANCE_SHA256.items()}}
+    assert json.loads(result.stdout) == pinned

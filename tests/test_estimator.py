@@ -8,8 +8,7 @@ import pytest
 
 from tracekit import sphere
 from tracekit.estimator import (
-    _rayleigh_values,
-    _split_sums,
+    _quotients,
     LinearOperator,
     RunningStats,
     estimate_trace,
@@ -64,12 +63,12 @@ OFF_DIAGONAL_HUGE = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
 
 
 class TestInner:
-    """<u, v> = sum u conj(v), as _split_sums accumulates it in real arithmetic."""
+    """<u, v> = sum u conj(v), as _quotients takes it over <v, v>."""
 
     @staticmethod
     def inner(u, v):
-        re, im, _ = _split_sums(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-        return complex(re, im)
+        u, v = (np.asarray(w, dtype=complex).reshape(1, -1) for w in (u, v))
+        return complex(_quotients(u, v)[0] * np.vdot(v, v))
 
     def test_hand_value(self):
         # (1+2j) * conj(3-1j) = (1+2j)(3+1j) = 1 + 7j
@@ -101,14 +100,14 @@ class TestNumericalValue:
         for n in (1, 2, 4, 8, 16):
             op = LinearOperator(np.eye(n))
             x = crandn(rng, 3, n)  # deliberately not unit
-            assert np.all(_rayleigh_values(op.apply_batch(x), x) == 1.0 + 0.0j)
+            assert np.all(_quotients(op.apply_batch(x), x) == 1.0 + 0.0j)
 
     def test_hand_value_matrix_unit(self):
         # <e_01 x, x> at x = (1,1)/sqrt(2): first entry of e_01 x is
         # x[1], so the form gives x[1] * conj(x[0]) = 1/2
         op = LinearOperator(matrix_unit(0, 1, 2))
         x = np.array([[1.0, 1.0]], dtype=np.complex128) / np.sqrt(2.0)
-        assert _rayleigh_values(op.apply_batch(x), x)[0] == pytest.approx(0.5, abs=1e-15)
+        assert _quotients(op.apply_batch(x), x)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_vdot_oracle(self):
         # the estimate is the mean of the values at its own draws, two chunks
@@ -249,11 +248,11 @@ class TestEstimateTrace:
         assert default == serial
 
     def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
-        # each of two threads holds one row block of draws and a few row-block
-        # temporaries, never a chunk's draws (4 MB per chunk at n = 64)
+        # each of two threads holds one row block of draws, its images and a
+        # few row-sized sums, never a chunk's draws (4 MB per chunk at n = 64)
         a = crandn(np.random.default_rng(215), 64, 64)
         peak = peak_of_two_threads(monkeypatch, lambda count, spec: estimate_trace(a, count, spec))
-        assert peak < 2 * 5 * BLOCK_64
+        assert peak < 2 * 3 * BLOCK_64
 
     def test_linearity_in_operator_at_fixed_seed(self):
         rng = np.random.default_rng(212)
@@ -481,7 +480,7 @@ class TestGateRadius:
         # sigma^2 = (||A||_F^2 - |tr A|^2 / p) / (p (p + 1)), to rounding
         a = crandn(np.random.default_rng(700 + p), p, p)
         x = design_rows(p)
-        stats = stats_from_values(_rayleigh_values(x @ a.T, x))
+        stats = stats_from_values(_quotients(x @ a.T, x))
         exact = np.trace(a) / p
         var = (np.sum(np.abs(a) ** 2) - abs(np.trace(a)) ** 2 / p) / (p * (p + 1))
         assert stats.count == p * (p + 1)
@@ -573,10 +572,11 @@ class TestCommutationRecipe:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
-    # estimate and sweep evaluate their draws in 512-row blocks on the pool;
-    # their values must equal those of the whole-chunk draws of
-    # sample_unit_vectors, block by block, and chunk 1 gives each run its
-    # 2n * 4096 words
+    # estimate and sweep evaluate their draws in 512-row blocks on the pool.
+    # The estimate's values must equal the quotients of each chunk's Gaussian
+    # rows, not normalized, reduced by the dot products spelled out below;
+    # the sweep's gaps those of the unit vectors of sample_unit_vectors.
+    # Chunk 1 gives each run its 2n * 4096 words
     n, count = 8, 3 * sphere.CHUNK_SIZE + 100
     spec = StreamSpec(41, 0)
     counted = spec.offset(1)
@@ -589,9 +589,12 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
         return original(self, k)
 
     monkeypatch.setattr(GaussianStream, "raw_words", raw_words)
+    layout = list(sphere.chunk_layout(spec, count))
+    rows = [GaussianStream(substream).gaussians(2 * n * (hi - lo)).view(complex).reshape(-1, n)
+            for lo, hi, substream in layout]
     draws = [sample_unit_vectors(GaussianStream(substream), n, hi - lo)
-             for lo, hi, substream in sphere.chunk_layout(spec, count)]
-    assert sum(taken) == 2 * n * sphere.CHUNK_SIZE
+             for lo, hi, substream in layout]
+    assert sum(taken) == 2 * 2 * n * sphere.CHUNK_SIZE
 
     def by_blocks(fn, x):
         return np.concatenate([fn(x[b:b + 512]) for b in range(0, len(x), 512)])
@@ -601,10 +604,16 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
     b, _ = np.linalg.qr(crandn(rng, n, n))
     op = LinearOperator(a)
 
-    def rayleigh(rows):
-        return _rayleigh_values(op.apply_batch(rows), rows)
+    def quotients(z):
+        v = z @ a.T
+        vf, zf = v.view(float), z.view(float)  # (rows, 2n): re, im interleaved
+        sq = np.einsum("ij,ij->i", zf, zf)
+        im = np.einsum("ij,ij->i", v.imag, z.real) - np.einsum("ij,ij->i", v.real, z.imag)
+        return np.einsum("ij,ij->i", vf, zf) / sq + 1j * (im / sq)
 
-    values = [by_blocks(rayleigh, x) for x in draws]
+    values = [by_blocks(quotients, z) for z in rows]
+    for z, v in zip(rows, values):
+        assert by_blocks(lambda x: _quotients(op.apply_batch(x), x), z).tobytes() == v.tobytes()
     total = RunningStats()
     for v in values:
         total = merge_stats(total, stats_from_values(v))
@@ -621,7 +630,7 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
         warnings.simplefilter("error")
         report = estimate_trace(a, count, spec)
         sweep = substitution_identity_sweep(a, b, count, spec)
-        streamed = [v for _, v in sphere.map_chunks(rayleigh, spec, n, count)]
+        streamed = [v for _, v in sphere.map_chunks(quotients, spec, n, count)]
     assert sum(taken) == 3 * 2 * n * sphere.CHUNK_SIZE
     assert [v.tobytes() for v in streamed] == [v.tobytes() for v in values]
     assert (report.mean, report.stderr) == (total.mean, total.stderr())

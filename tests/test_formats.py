@@ -166,13 +166,14 @@ class TestMatrixMarketParse:
         text = buf.getvalue().decode()
         assert np.allclose(parse_matrix_market(text), a, atol=1e-15)
 
-    @pytest.mark.parametrize("fmt, bound", [("array", 1.5), ("coordinate", 3)],
+    @pytest.mark.parametrize("fmt, bound", [("array", 1.5), ("coordinate", 1.6)],
                              ids=["array", "coordinate"])
     @pytest.mark.parametrize("n", [64, 256])
     def test_parse_peak_is_under_three_times_the_text(self, n, fmt, bound):
         # the reader holds a few KB of text as tokens at a time and makes no
         # Python object per number beyond them: 0.8-0.9x the text for an
-        # array file and 2.1-2.3x for a coordinate one, where it was 3.4-3.6x
+        # array file and 1.4-1.5x for a coordinate one, whose indices are
+        # cast to intp once and whose values are viewed as complex in place
         a = crandn(np.random.default_rng(n), n, n)
         text = write_matrix_market(a) if fmt == "array" else coordinate_text(a)
         parse_matrix_market(text)

@@ -305,12 +305,12 @@ class TestChunkedLayout:
         assert threaded.tobytes() == serial.tobytes()
 
     def test_map_chunks_order_and_errors(self, monkeypatch):
-        # fn gets row blocks of the draws, and each chunk's start and per-row
-        # results come back in chunk order for any thread count; the first
-        # failing chunk in that order raises
+        # fn gets row blocks of the Gaussian rows, not normalized, and each
+        # chunk's start and per-row results come back in chunk order for any
+        # thread count; the first failing chunk in that order raises
         spec, n, count = StreamSpec(35, 0), 2, 6 * CHUNK + 100
         layout = [
-            (lo, sample_unit_vectors(GaussianStream(substream), n, hi - lo))
+            (lo, GaussianStream(substream).gaussians(2 * n * (hi - lo)).view(complex).reshape(-1, n))
             for lo, hi, substream in sphere.chunk_layout(spec, count)
         ]
         for cpus in (1, 2, 5):
