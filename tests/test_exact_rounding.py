@@ -62,8 +62,8 @@ def square(x: complex, y: tuple) -> Fraction:
 
 
 def within(s1: Fraction, s2: Fraction, bound: Fraction) -> bool:
-    """sqrt(s1) + sqrt(s2) <= bound, exactly."""
-    rest = bound * bound + s2 - s1  # sqrt(s1) <= bound - sqrt(s2) squared, with
+    """sqrt(s1) + sqrt(s2) <= bound, exactly: sqrt(s1) <= bound - sqrt(s2), squared."""
+    rest = bound * bound + s2 - s1  # must reach 2 bound sqrt(s2)
     return s2 <= bound * bound and rest >= 0 and 4 * bound * bound * s2 <= rest * rest
 
 
