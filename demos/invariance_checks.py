@@ -27,7 +27,7 @@ h = (g + g.conj().T) / 2
 b = decompose_into_unitaries(h).unitaries[0]
 print(f"||B*B - I||_F = {np.linalg.norm(b.conj().T @ b - np.eye(n)):.2e}")
 
-# draw-by-draw substitution identity: gap |<ABx, x> - <BAz, z>| at x = B*z,
+# draw-by-draw substitution identity: gap |<ABx, x>/<x, x> - <BAz, z>/<z, z>| at x = B*z,
 # first one draw per substream, then the largest gap over a longer sweep
 for k in range(5):
     gap, _, _ = substitution_identity_sweep(a, b, 1, StreamSpec(master_seed=3, stream_index=k))

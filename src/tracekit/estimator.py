@@ -12,12 +12,12 @@ Conventions fixed here and relied on everywhere else:
 
 - Inner products are linear in the first slot and conjugate-linear in
   the second: <u, v> = sum_k u[k] * conj(v[k]).
-- The per-sample value is the Rayleigh quotient <A z, z> / <z, z> of the
-  Gaussian row z of `sphere.map_chunks`, its value at z / ||z||: no row
-  is normalized.  Re <A z, z> and <z, z> are dot products over the rows'
-  float views, in one order, and Im <A z, z> takes its two sums on one
-  code path, so every identity sample is exactly 1.0 + 0.0j and the
-  estimate of the identity has zero variance.
+- Every value, of the estimate and of each side of the sweep, is the
+  Rayleigh quotient <M z, z> / <z, z> of a row z, its value at z / ||z||,
+  formed by _quotients: no row is normalized.  Re <M z, z> and <z, z> are
+  dot products over the rows' float views, in one order, and Im <M z, z>
+  takes its two sums on one code path, so every identity sample is exactly
+  1.0 + 0.0j and the estimate of the identity has zero variance.
 - The draws of an estimate based at StreamSpec(seed, b) follow the
   fixed chunk layout of `sphere.map_chunks`, which evaluates the chunks
   on a thread pool; each chunk's statistics are merged in chunk order, so
@@ -36,8 +36,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .linalg import _ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm
-from .sphere import CHUNK_SIZE, _NO_DIRECTION, StreamSpec, _normalize, map_chunks
+from .linalg import (_ldexp, _rounding_bound, _unit_peak, _unitarity_bound, _unitarity_residual,
+                     as_matrix, frobenius_norm)
+from .sphere import CHUNK_SIZE, _NO_DIRECTION, StreamSpec, map_chunks
 
 __all__ = [
     "LinearOperator",
@@ -217,28 +218,29 @@ def estimate_trace(a, n_samples: int, spec: StreamSpec, *, z: float = 3.0) -> Es
 
 
 def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple[float, ...]:
-    """Largest gap |<A B x, x> - <B A z, z>|, x = B* z, over sphere draws z.
+    """Largest gap |<A B x, x> / <x, x> - <B A z, z> / <z, z>| at x = B* z, over draws z.
 
-    For unitary B the change of variables x = B* z turns <A B x, x> into
-    <B A z, z> draw by draw, so the gap is rounding alone.  The draws are
-    those of sample_unit_vectors_chunked(spec, n, n_samples), evaluated in
-    row blocks on the thread pool of `sphere.map_chunks`, so no chunk of
-    draws is held.  The gaps are of A / 2**e, scaled exactly to unit peak
-    (linalg._unit_peak) so that none overflows, and are scaled back.
+    For unitary B the change of variables x = B* z turns the first quotient
+    into the second draw by draw, so the gap is rounding alone.  Each side
+    is the Rayleigh quotient of estimate_trace, of the Gaussian rows z of
+    map_chunks at `spec` and of their images x, so no row is normalized and
+    no chunk of draws is held.  The gaps are of A / 2**e, scaled exactly to
+    unit peak (linalg._unit_peak) so that none overflows, and are scaled back.
     Returns (max_gap, rho, bound) with rho = ||B* B - I||_F; raises ValueError
-    when rho exceeds 1e-10 (x = B* z is then no change of variables), and,
-    after the matrix checks, when n_samples < 1 (no draw checks nothing).
-    The bound on each gap, from README, is
-    (16 sqrt(n) gamma_{3n+2} + 2 n gamma_{2n} + rho) ||A||_F + 9 n^2 eta.
+    when rho exceeds gamma_{5 p(n) + 3 sqrt(n)}, p(n) = 64 n, the bound of
+    decompose's unitarity residual, and, after the matrix checks, when
+    n_samples < 1 (no draw checks nothing).  The bound on each gap, from
+    README, is (gamma_{12 n^1.5 + 24 n + 8} + 2 r sqrt(1 + r) / (1 - r)) ||A||_F
+    + 2 eta, with r = rho + 2 n gamma_{2n}.
     """
     am = as_matrix(a, "a")
     bm = as_matrix(b, "b")
     if bm.shape != am.shape:
         raise ValueError(f"dimension mismatch: a is {am.shape[0]}, b is {bm.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge B gives inf or nan: both fail
-        unitarity = float(np.linalg.norm(np.conj(bm).T @ bm - np.eye(bm.shape[0])))
-    if not unitarity <= 1e-10:
-        raise ValueError(f"b is not unitary: ||B*B - I||_F = {unitarity:.3e}")
+    n = am.shape[0]
+    rho, limit = _unitarity_residual(bm), _unitarity_bound(n)  # a huge B: inf or nan, fails
+    if not rho <= limit:
+        raise ValueError(f"b is not unitary: ||B*B - I||_F = {rho:.3e} exceeds {limit:.3e}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     s, e = _unit_peak(am)
@@ -247,23 +249,14 @@ def substitution_identity_sweep(a, b, n_samples: int, spec: StreamSpec) -> Tuple
     ba_t = (bm @ s).T
 
     def gaps(z: np.ndarray) -> np.ndarray:
-        # rows are draws, normalized in place: row z maps to row x = z conj(B),
-        # i.e. x = B* z; two block-sized buffers, x and p, hold every product
-        z = _normalize(z)
-        x = z @ b_conj
-        p = x @ ab_t
-        p *= np.conj(x, out=x)
-        lhs = np.sum(p, axis=1)
-        np.matmul(z, ba_t, out=p)
-        p *= np.conj(z, out=x)
-        rhs = np.sum(p, axis=1)
-        return np.abs(lhs - rhs)
+        x = z @ b_conj  # row z maps to row x = z conj(B), i.e. x = B* z
+        return np.abs(_quotients(x @ ab_t, x) - _quotients(z @ ba_t, z))
 
-    n = am.shape[0]
     max_gap = 0.0
     for _, chunk in map_chunks(gaps, spec, n, n_samples):
         max_gap = np.maximum(max_gap, np.max(chunk))
     norm = frobenius_norm(s)
-    k = 16 * n**0.5 * (3 * n + 2) + 4 * n * n  # as c gamma_k <= gamma_{ck}
-    bound = _rounding_bound(k, norm, 9 * n * n, e) + math.ldexp(unitarity * norm, e)
-    return math.ldexp(float(max_gap), e), unitarity, bound
+    r = rho + 2 * n * _rounding_bound(2 * n, 1.0, 0)  # at least the exact rho (README)
+    bound = (_rounding_bound(12 * n**1.5 + 24 * n + 8, norm, 2, e)
+             + math.ldexp(2 * r * math.sqrt(1 + r) / (1 - r) * norm, e))
+    return math.ldexp(float(max_gap), e), rho, bound

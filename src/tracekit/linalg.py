@@ -82,6 +82,17 @@ def _rounding_bound(k: float, scale: float, ops: float, e: int = 0) -> float:
     return math.ldexp(ku / (1.0 - ku) * scale, e) + ops * 2.0**-1074
 
 
+def _unitarity_residual(u: np.ndarray) -> float:
+    """||U* U - I||_F of a square complex array u; inf or nan where U* U overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(np.conj(u).T @ u - np.eye(u.shape[0])))
+
+
+def _unitarity_bound(n: int) -> float:
+    """gamma_{5 p(n) + 3 sqrt(n)}, p(n) = 64 n: decompose's bound on ||U* U - I||_F (README)."""
+    return _rounding_bound(5 * 64 * n + 3 * n**0.5, 1.0, 0)
+
+
 def normalized_trace(a) -> complex:
     """Sum of the diagonal divided by the dimension.
 
@@ -116,17 +127,12 @@ def hermitian_eigh(h):
     in nondecreasing order and a unitary Q whose column k is the
     eigenvector for w[k] (C-contiguous), so h == Q diag(w) Q*.
     The check and the solve are of s = h / 2**e (_unit_peak), and w is
-    scaled back (inf beyond float64).  LAPACK reads one triangle, so the
-    solve is of the exactly Hermitian average (s + s*) / 2, which differs
-    from s by no more than the check.
-
-    Raises ValueError if the input fails the Hermitian check
-    ||h - h*||_F <= 1e-12 ||h||_F.
+    scaled back (inf beyond float64).  LAPACK reads one triangle, so s must
+    equal its conjugate transpose exactly, or ValueError is raised; pass a
+    matrix Hermitian only up to rounding as (h + h*) / 2, which is exactly so.
     """
     s, e = _unit_peak(as_matrix(h, "hermitian matrix"))
-    asym, norm = (float(np.linalg.norm(x)) for x in (s - np.conj(s).T, s))
-    if asym > 1e-12 * norm:
-        raise ValueError(f"matrix is not Hermitian: ||h - h*||_F / ||h||_F = {asym / norm:.3e} "
-                         "exceeds 1e-12")
-    w, q = np.linalg.eigh((s + np.conj(s).T) / 2.0)
+    if not np.array_equal(s, np.conj(s).T):
+        raise ValueError("matrix is not Hermitian: h differs from h*; pass (h + h*) / 2")
+    w, q = np.linalg.eigh(s)
     return np.ldexp(w, e), q

@@ -13,12 +13,12 @@ z = ndtri(u).  One word per normal, no rejection, so the mapping from
 counter position to draw is fixed for all time.
 
 A Gaussian row in C^n consumes exactly 2n words: entry k is built from
-words (2k, 2k+1) as (real, imag).  Divided by its Euclidean norm it is a
-unit vector, uniform on the sphere by rotation invariance of the
-Gaussian; a function of the direction alone, such as a Rayleigh quotient,
-can take the row as it is.  A normal is 0 only for top 53 bits 2**52, and
-at least ~1.39e-16 otherwise; a row whose 2n normals are all 0 (odds
-2**-106n) has no direction, and the draw raises RuntimeError.
+words (2k, 2k+1) as (real, imag).  Divided by its Euclidean norm, as only
+`sample_unit_vectors*` do, it is a unit vector, uniform on the sphere by
+rotation invariance of the Gaussian; a Rayleigh quotient, a function of the
+direction alone, takes the row as it is.  A normal is 0 only for top 53
+bits 2**52, and at least ~1.39e-16 otherwise; a row of 2n zero normals
+(odds 2**-106n) has no direction, and the draw raises RuntimeError.
 
 Estimators shard their draws into chunks of CHUNK_SIZE (`chunk_layout`):
 sample j of a run based at stream_index b is drawn from stream
@@ -206,7 +206,7 @@ def map_chunks(fn, spec: StreamSpec, n: int, count: int):
     """Lazily, (lo, values) for each chunk of chunk_layout(spec, count), in
     chunk order, where values[r] is fn's result for Gaussian row r of the
     chunk's substream: the row that sample_unit_vectors(stream, n, hi - lo)
-    normalizes into its row r.
+    normalizes into its row r, and that a Rayleigh quotient takes as it is.
 
     fn maps a C-contiguous (rows, n) complex array of Gaussian rows to one
     result per row, each from its own row alone, and raises RuntimeError
@@ -248,7 +248,7 @@ def _pooled(fn, layout, threads: int):
 
 def sample_unit_vectors_chunked(spec: StreamSpec, n: int, count: int) -> np.ndarray:
     """Draw `count` unit vectors in the `chunk_layout` at `spec`, for any thread
-    count: the rows map_chunks at `spec` hands fn, normalized."""
+    count: the Gaussian rows map_chunks at `spec` hands fn, normalized."""
     chunks = map_chunks(_normalize, spec, n, count)  # checks the arguments first
     out = np.empty((count, n), dtype=np.complex128)
     for lo, x in chunks:

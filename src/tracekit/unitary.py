@@ -16,7 +16,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import _ldexp, _rounding_bound, _unit_peak, as_matrix, frobenius_norm, hermitian_eigh
+from .linalg import (_ldexp, _rounding_bound, _unit_peak, _unitarity_bound, _unitarity_residual,
+                     as_matrix, frobenius_norm, hermitian_eigh)
 from .sphere import GaussianStream, StreamSpec, gaussian_matrix
 
 __all__ = [
@@ -106,14 +107,11 @@ def decompose_into_unitaries(a) -> UnitaryDecomposition:
     if not coeffs:
         coeffs = [0j]
         units = [np.eye(n, dtype=np.complex128)]
-    p, root = 64 * n, n**0.5
-    bounds = (_rounding_bound(3 * p + 18 * root + 4, frobenius_norm(s), 20 * n, e),
-              _rounding_bound(5 * p + 3 * root, 1.0, 0))
-    dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0, *bounds)
+    bound = _rounding_bound(3 * 64 * n + 18 * n**0.5 + 4, frobenius_norm(s), 20 * n, e)
+    dec = UnitaryDecomposition(n, coeffs, units, 0.0, 0.0, bound, _unitarity_bound(n))
     dec.reconstruction_residual = math.ldexp(frobenius_norm(dec.reconstruct() - s), e)
     dec.coefficients = [_ldexp(c, e, "a coefficient ||H|| / 2") for c in coeffs]
-    eye = np.eye(n)
-    dec.unitarity_residual = max(float(np.linalg.norm(np.conj(u).T @ u - eye)) for u in units)
+    dec.unitarity_residual = max(_unitarity_residual(u) for u in units)
     return dec
 
 

@@ -797,18 +797,19 @@ def test_sample_bytes_do_not_depend_on_the_blas_kernel():
 
 
 # sha256 of `sample --dim 8 --count K` and of `check-invariance --random-unitary
-# --samples 5000 --seed 3` on a complex Gaussian n x n: both normalize the
-# Gaussian rows that map_chunks hands them, and these bytes pin that arithmetic
+# --samples 5000 --seed 3` on a complex Gaussian n x n: the first normalizes the
+# Gaussian rows that map_chunks hands it, the second takes two Rayleigh quotients
+# of each, and these bytes pin that arithmetic
 SAMPLE_SHA256 = {
     1: "0481fe5acae768e818d45efd00ef1b1774117ec387cfb400db0399f98ad2c181",
     4097: "d39a2d9c32cebf1997144421c9c76fd04dd4e8eb3a3bd7f2c22273665e57acd8",
     5000: "d62a8d7d3468c602ec10cf212189cd80e5428bc50f44c50a3b214602ffe31b8c",
 }
 INVARIANCE_SHA256 = {  # under OpenBLAS 0.3.31's Haswell kernel, one BLAS thread
-    1: "70c692334aadf566b6a3c8300918d064d2ac9be04d0d86e3d95356b9a380dd39",
-    2: "cd5f28ddd421d53d85e1496c047114b2c37d48b60bf456bcdb2f7ea1255eeafb",
-    8: "eeee8317a680278cacc6f6bbf171379590c81a8ece9069ec7698abc4d0825159",
-    32: "6d232e95a7a16369e5c9be4a2e7890b0774a969e2b175ec5f8f72c8ed9321523",
+    1: "d45f9041704115d52fa557514b14e6a90b7ae7f2f9353297f70216929329c909",
+    2: "57b1d0f556d80332284c11eeaa32e282acf10ed652f43b729730e5a4004ab9aa",
+    8: "d0fa79a75bce0d21b4e988f00163d87a20c689c08b7e16aa1ee911e81343f102",
+    32: "23d6aabe6fd2bfd2a620bfccd1243dce1414c01cec076c351a4bcba674cb8bd7",
 }
 
 

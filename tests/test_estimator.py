@@ -20,7 +20,6 @@ from tracekit.linalg import matrix_unit, normalized_trace
 from tracekit.sphere import (
     GaussianStream,
     StreamSpec,
-    sample_unit_vectors,
     sample_unit_vectors_chunked,
 )
 
@@ -306,7 +305,7 @@ class TestEstimateTrace:
 
 
 class TestSubstitutionIdentity:
-    """The sweep at one draw: the draw is sample_unit_vectors(GaussianStream(spec), n, 1)[0]."""
+    """The sweep at one draw: the Gaussian row GaussianStream(spec).gaussians(2 n), as complex."""
 
     def test_identity_b_is_exact(self):
         rng = np.random.default_rng(214)
@@ -331,11 +330,12 @@ class TestSubstitutionIdentity:
             assert gap <= bound
 
     def test_rejects_non_unitary(self):
-        # a huge B whose B*B overflows to nan is no unitary either
+        # a huge B whose B*B overflows to nan is no unitary either, and nor is
+        # one with rho = 2.8e-12, past gamma_{5 p(2) + 3 sqrt(2)} = 7.2e-14
         huge = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for b in (matrix_unit(0, 0, 2), huge):
+            for b in (matrix_unit(0, 0, 2), huge, (1 + 1e-12) * np.eye(2)):
                 with pytest.raises(ValueError, match="not unitary"):
                     substitution_identity_sweep(np.eye(2), b, 1, StreamSpec(0, 0))
 
@@ -352,13 +352,13 @@ class TestSubstitutionSweep:
         for n, samples in ((3, 5000), (8, 9000)):
             a = crandn(rng, n, n)
             b, _ = np.linalg.qr(crandn(rng, n, n))
-            z = sample_unit_vectors_chunked(StreamSpec(19, 0), n, samples)
+            chunks = sphere.map_chunks(lambda rows: rows, StreamSpec(19, 0), n, samples)
+            z = np.concatenate([rows for _, rows in chunks])
             x = z @ np.conj(b)
-            lhs = np.sum((x @ (a @ b).T) * np.conj(x), axis=1)
-            rhs = np.sum((z @ (b @ a).T) * np.conj(z), axis=1)
+            gaps = np.abs(_quotients(x @ (a @ b).T, x) - _quotients(z @ (b @ a).T, z))
             max_gap, unitarity, bound = substitution_identity_sweep(
                 a, b, samples, StreamSpec(19, 0))
-            assert max_gap == pytest.approx(float(np.max(np.abs(lhs - rhs))), rel=1e-12)
+            assert max_gap == pytest.approx(float(np.max(gaps)), rel=1e-12)
             assert unitarity == float(np.linalg.norm(b.conj().T @ b - np.eye(n)))
             assert max_gap <= bound
 
@@ -376,7 +376,7 @@ class TestSubstitutionSweep:
         assert gaps[1][0] > 0.0
 
     def test_chunk_memory_is_bounded_by_row_blocks(self, monkeypatch):
-        # under four row blocks per thread: the draws and two reused buffers
+        # under four row blocks per thread: the draws, x = B* z and one product
         rng = np.random.default_rng(224)
         a = crandn(rng, 64, 64)
         b, _ = np.linalg.qr(crandn(rng, 64, 64))
@@ -574,9 +574,9 @@ class TestCommutationRecipe:
 def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
     # estimate and sweep evaluate their draws in 512-row blocks on the pool.
     # The estimate's values must equal the quotients of each chunk's Gaussian
-    # rows, not normalized, reduced by the dot products spelled out below;
-    # the sweep's gaps those of the unit vectors of sample_unit_vectors.
-    # Chunk 1 gives each run its 2n * 4096 words
+    # rows, not normalized, reduced by the dot products spelled out below, and
+    # the sweep's gaps the differences of two such quotients, of the rows z
+    # and of x = B* z.  Chunk 1 gives each run its 2n * 4096 words
     n, count = 8, 3 * sphere.CHUNK_SIZE + 100
     spec = StreamSpec(41, 0)
     counted = spec.offset(1)
@@ -592,9 +592,7 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
     layout = list(sphere.chunk_layout(spec, count))
     rows = [GaussianStream(substream).gaussians(2 * n * (hi - lo)).view(complex).reshape(-1, n)
             for lo, hi, substream in layout]
-    draws = [sample_unit_vectors(GaussianStream(substream), n, hi - lo)
-             for lo, hi, substream in layout]
-    assert sum(taken) == 2 * 2 * n * sphere.CHUNK_SIZE
+    assert sum(taken) == 2 * n * sphere.CHUNK_SIZE
 
     def by_blocks(fn, x):
         return np.concatenate([fn(x[b:b + 512]) for b in range(0, len(x), 512)])
@@ -604,8 +602,8 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
     b, _ = np.linalg.qr(crandn(rng, n, n))
     op = LinearOperator(a)
 
-    def quotients(z):
-        v = z @ a.T
+    def quotients(z, m=a):
+        v = z @ m.T
         vf, zf = v.view(float), z.view(float)  # (rows, 2n): re, im interleaved
         sq = np.einsum("ij,ij->i", zf, zf)
         im = np.einsum("ij,ij->i", v.imag, z.real) - np.einsum("ij,ij->i", v.real, z.imag)
@@ -620,9 +618,7 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
 
     def gaps(z):
         x = z @ np.conj(b)
-        lhs = np.sum((x @ (a @ b).T) * np.conj(x), axis=1)
-        rhs = np.sum((z @ (b @ a).T) * np.conj(z), axis=1)
-        return np.abs(lhs - rhs)
+        return np.abs(quotients(x, a @ b) - quotients(z, b @ a))
 
     monkeypatch.setattr(sphere, "_cpus", lambda: cpus)
     taken.clear()
@@ -634,7 +630,7 @@ def test_streamed_values_match_whole_chunk_draws(monkeypatch, cpus):
     assert sum(taken) == 3 * 2 * n * sphere.CHUNK_SIZE
     assert [v.tobytes() for v in streamed] == [v.tobytes() for v in values]
     assert (report.mean, report.stderr) == (total.mean, total.stderr())
-    assert sweep[0] == max(float(np.max(by_blocks(gaps, z))) for z in draws)
+    assert sweep[0] == max(float(np.max(by_blocks(gaps, z))) for z in rows)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,20 +1,25 @@
-"""The estimate's rounding floor against exact arithmetic.
+"""The rounding bounds of the estimate and of the sweep against exact arithmetic.
 
 Each float is a rational number, so the mean of the exact Rayleigh quotients
 <A z, z> / <z, z> of the very Gaussian rows z that `estimate_trace` draws,
 and tr(A) / n, are fractions.  The report's mean and `exact` must lie within
 `rounding_floor` of them together: |mean - M| + |exact - tr(A) / n| is
-checked against the floor in exact arithmetic.
+checked against the floor in exact arithmetic.  So is the square of the
+sweep's exact gap for the float A, B and z, against the two parts of its
+`bound`.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tracekit import sphere
-from tracekit.estimator import estimate_trace
-from tracekit.sphere import StreamSpec
+from tracekit.estimator import estimate_trace, substitution_identity_sweep
+from tracekit.linalg import _rounding_bound, _unit_peak, frobenius_norm
+from tracekit.sphere import CHUNK_OFFSET_PROBES, StreamSpec
+from tracekit.unitary import seeded_unitary
 
 COUNTS = (1, 3, 16, 150)
 
@@ -104,5 +109,78 @@ def test_floor_bounds_the_exact_error(n):
         for count in COUNTS:
             for seed in (n * 1000 + count, 77):
                 assert check(a, n, count, StreamSpec(seed, 0)) <= 1.0, (label, count, seed)
+                checked += 1
+    assert checked == 80
+
+
+def product(p: tuple, q: tuple) -> tuple:
+    """p @ q for complex integer arrays held as (re, im) pairs."""
+    return p[0] @ q[0] - p[1] @ q[1], p[0] @ q[1] + p[1] @ q[0]
+
+
+def quotient(m: tuple, w: tuple) -> tuple:
+    """<v, w> as (re, im) and <w, w>, for the row w and v = w @ m.T."""
+    v = product(w, (m[0].T, m[1].T))
+    return ((v[0] * w[0] + v[1] * w[1]).sum(), (v[1] * w[0] - v[0] * w[1]).sum(),
+            (w[0] * w[0] + w[1] * w[1]).sum())
+
+
+def exact_gap(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> Fraction:
+    """|<A B x, x> / <x, x> - <B A z, z> / <z, z>|^2 at x = B* z, for the row z."""
+    (ar, ai), ea = integers(np.stack([a.real, a.imag]))
+    (br, bi), eb = integers(np.stack([b.real, b.imag]))
+    (zr, zi), _ = integers(np.stack([z.real, z.imag]))  # its scale cancels in each quotient
+    am, bm, zm = (ar, ai), (br, bi), (zr[None], zi[None])
+    x = product(zm, (br, -bi))  # rows: x = z conj(B), i.e. x = B* z
+    left_re, left_im, left = quotient(product(am, bm), x)
+    right_re, right_im, right = quotient(product(bm, am), zm)
+    re = left_re * right - right_re * left  # both quotients are times 2**-(ea + eb)
+    im = left_im * right - right_im * left
+    return Fraction(re * re + im * im, (left * right) ** 2) * Fraction(2) ** (2 * (ea + eb))
+
+
+def bound_parts(a: np.ndarray, rho: float) -> tuple:
+    """(rounding part, rho part, e) of the sweep's bound, as README derives them:
+    gamma_{12 n^1.5 + 24 n + 8} ||A||_F + 2 eta, and 2 r sqrt(1 + r) / (1 - r) ||A||_F
+    with r = rho + 2 n gamma_{2n}.  The rho part is in units of 2**e, before
+    the ldexp that scales it back into the bound."""
+    s, e = _unit_peak(a)
+    n = s.shape[0]
+    norm = frobenius_norm(s)
+    r = rho + 2 * n * _rounding_bound(2 * n, 1.0, 0)
+    rho_part = 2 * r * math.sqrt(1 + r) / (1 - r) * norm
+    return _rounding_bound(12 * n**1.5 + 24 * n + 8, norm, 2, e), rho_part, e
+
+
+def unitaries(n: int, seed: int):
+    """(label, B): the seeded unitary of check-invariance, and a QR factor."""
+    yield "seeded", seeded_unitary(StreamSpec(seed, CHUNK_OFFSET_PROBES), n)
+    rng = np.random.default_rng(seed)
+    yield "qr", np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def check_sweep(a: np.ndarray, b: np.ndarray, spec: StreamSpec) -> tuple:
+    n = a.shape[0]
+    gap, rho, bound = substitution_identity_sweep(a, b, 1, spec)  # max_gap is one draw's gap
+    (_, z), = sphere.map_chunks(lambda rows: rows, spec, n, 1)
+    g2 = exact_gap(a, b, z[0])
+    rounding, rho_part, e = bound_parts(a, rho)
+    assert bound == rounding + math.ldexp(rho_part, e)
+    c, r, p = Fraction(gap), Fraction(rounding), Fraction(rho_part) * Fraction(2) ** e
+    # |gap - G| <= r with G = sqrt(g2): G <= gap + r, and G >= gap - r where that is positive
+    assert g2 <= (c + r) ** 2 and (c <= r or g2 >= (c - r) ** 2), (n, gap, rounding)
+    assert g2 <= p * p, (n, rho, rho_part)
+    return abs(float(c / r) - float(g2 / (r * r)) ** 0.5), float(g2 / (p * p)) ** 0.5
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_sweep_bound_covers_the_exact_gap(n):
+    # 10 matrices x 2 unitaries x 4 seeds at each n: 240 cases in all, one draw each
+    checked = 0
+    for label, a in matrices(n):
+        for seed in range(4):
+            for kind, b in unitaries(n, 50 * n + seed):
+                ratios = check_sweep(a, b, StreamSpec(seed, 0))
+                assert max(ratios) <= 1.0, (label, kind, seed, ratios)
                 checked += 1
     assert checked == 80

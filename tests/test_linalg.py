@@ -173,17 +173,16 @@ class TestHermitianEigh:
         rng = np.random.default_rng(104)
         cases = [random_hermitian(rng, int(rng.integers(1, 41))) for _ in range(100)]
         # degenerate spectra: I + rank one, repeated eigenvalue blocks, and a
-        # block-diagonal matrix whose off-diagonal blocks are exactly zero
+        # block-diagonal matrix whose off-diagonal blocks are exactly zero;
+        # the products are Hermitian up to rounding, so their averages are passed
         v = crandn(rng, 33, 1)
         u, _ = np.linalg.qr(crandn(rng, 12, 12))
         blocks = np.zeros((13, 13), dtype=complex)
         blocks[:6, :6] = random_hermitian(rng, 6)
         blocks[6:, 6:] = random_hermitian(rng, 7)
-        cases += [
-            np.eye(33) + v @ v.conj().T,
-            (u * np.repeat([-2.0, 1.0, 5.0], [3, 4, 5])) @ u.conj().T,
-            blocks,
-        ]
+        products = (np.eye(33) + v @ v.conj().T,
+                    (u * np.repeat([-2.0, 1.0, 5.0], [3, 4, 5])) @ u.conj().T)
+        cases += [(m + m.conj().T) / 2 for m in products] + [blocks]
         for h in cases:
             n = h.shape[0]
             w, q = hermitian_eigh(h)
@@ -207,9 +206,8 @@ class TestHermitianEigh:
         assert np.all(np.diff(w) >= 0)
 
     def test_rejects_nonhermitian(self):
-        # at 1e200 the norm overflows float64, which must not make the
-        # tolerance inf; at 1e-13 the tolerance must not stay 1e-12: the
-        # check is relative to ||h||_F at every scale
+        # the check is exact at every scale: neither a tiny nor a huge
+        # asymmetric entry passes, and none warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for scale in (1e-13, 1.0, 1e100, 1e200):
@@ -241,14 +239,18 @@ class TestHermitianEigh:
         assert np.all(np.abs(w - [0.0, 1e-323]) <= 1e-323)
 
     def test_solves_the_hermitian_average(self):
-        # LAPACK reads one triangle; drift in the other, inside the
-        # Hermitian check, must count as the average of both
+        # LAPACK reads one triangle, so drift in the other is refused, however
+        # small; the average of both triangles is exactly Hermitian and solves
         rng = np.random.default_rng(106)
         h = random_hermitian(rng, 12)
         h = h + 1e-14 * np.triu(crandn(rng, 12, 12), 1)
-        w, q = hermitian_eigh(h)
-        w_avg, q_avg = hermitian_eigh((h + h.conj().T) / 2)
-        assert np.array_equal(w, w_avg) and np.array_equal(q, q_avg)
+        with pytest.raises(ValueError, match=r"not Hermitian.*pass \(h \+ h\*\) / 2"):
+            hermitian_eigh(h)
+        w, q = hermitian_eigh((h + h.conj().T) / 2)
+        assert np.linalg.norm((q * w) @ q.conj().T - (h + h.conj().T) / 2) <= 1e-12
+        # an imaginary part on the diagonal is no Hermitian matrix either
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigh(np.diag([1.0, 1.0 + 1e-300j]))
 
 
 def test_operator_norm_matches_numpy():

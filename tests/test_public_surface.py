@@ -1,4 +1,5 @@
-"""Every public name of a layer module has a caller outside the tests."""
+"""The source files: every public name of a layer module has a caller outside
+the tests, every file parses at the Python floor, and no tolerance is added."""
 
 import ast
 import re
@@ -66,3 +67,22 @@ def test_sources_parse_at_the_declared_python_floor():
     assert paths
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def _small_floats(path):
+    """(module, scope, value) of each float literal in (0, 1e-3) in a source file:
+    the scope is the top-level def or class it is in, or the name it is bound to."""
+    for node in _tree(path).body:
+        scope = getattr(node, "name", None) or ",".join(
+            t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name))
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < sub.value < 1e-3:
+                yield path.stem, scope, sub.value
+
+
+def test_the_only_small_float_literals_are_delta_and_the_det_tolerance():
+    # every gate's bound is derived (README, Rounding bounds), so a small float
+    # literal in src is a fixed tolerance, except the probability _DELTA; the
+    # one tolerance left checks outside input to rephase_to_det_one
+    found = sorted(f for path in PACKAGE.glob("*.py") for f in _small_floats(path))
+    assert found == [("estimator", "_DELTA", 1e-9), ("unitary", "rephase_to_det_one", 1e-8)]
