@@ -5,13 +5,16 @@ All randomness derives from --seed through the substream layout, so a
 repeated invocation with identical flags and inputs produces
 byte-identical output (fixed JSON key order, floats at 17 significant
 digits).  Exit codes: 0 success, 1 usage or input error, 2 numerical
-check failed.  Each cmd_* returns (report text, whether its check passed);
-main alone writes the report and picks the exit code.
+check failed.  Each cmd_* returns (a function that writes its report to a
+given write callable, whether its check passed), after every check and
+computation but the report's own; main alone opens the destination, streams
+the report into it and picks the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -20,15 +23,15 @@ import numpy as np
 
 from .estimator import estimate_trace, substitution_identity_sweep
 from .formats import (
+    _report_doc,
     complex_pair,
+    dump_rows,
     dumps,
     parse_json_dense,
     parse_matrix_market,
-    write_json_dense,
-    write_report_json,
 )
 from .linalg import as_matrix
-from .sphere import CHUNK_OFFSET_PROBES, StreamSpec, sample_unit_vectors_chunked
+from .sphere import CHUNK_OFFSET_PROBES, StreamSpec, _normalize, map_chunks
 from .uniqueness import solve_unique_functional
 from .unitary import decompose_into_unitaries, determinant, seeded_unitary
 
@@ -124,13 +127,14 @@ def _load_matrix(path: str) -> np.ndarray:
     return as_matrix(parsed, f"matrix file {path!r}")
 
 
-def cmd_estimate(args) -> tuple[str, bool]:
+def cmd_estimate(args):
     a = _load_matrix(args.matrix)
     report = estimate_trace(a, args.samples, StreamSpec(args.seed, 0), z=args.z)
-    return write_report_json(report), report.abs_error() <= report.radius + report.rounding_floor
+    doc = _report_doc(report)
+    return functools.partial(dumps, doc), doc["abs_error"] <= report.radius + report.rounding_floor
 
 
-def cmd_decompose(args) -> tuple[str, bool]:
+def cmd_decompose(args):
     a = _load_matrix(args.matrix)
     dec = decompose_into_unitaries(a)
     doc = {
@@ -146,11 +150,11 @@ def cmd_decompose(args) -> tuple[str, bool]:
         "reconstruction_residual": dec.reconstruction_residual,
         "unitarity_residual": dec.unitarity_residual,
     }
-    return dumps(doc) + "\n", (dec.reconstruction_residual <= dec.reconstruction_bound
-                                and dec.unitarity_residual <= dec.unitarity_bound)
+    return functools.partial(dumps, doc), (dec.reconstruction_residual <= dec.reconstruction_bound
+                                           and dec.unitarity_residual <= dec.unitarity_bound)
 
 
-def cmd_uniqueness(args) -> tuple[str, bool]:
+def cmd_uniqueness(args):
     solution = solve_unique_functional(args.dim)
     doc = {
         "dim": solution.dim,
@@ -160,10 +164,11 @@ def cmd_uniqueness(args) -> tuple[str, bool]:
     }
     # the values are read off exactly, so the gate is exact too; a solution
     # space that is not one dimensional has raised ArithmeticError
-    return dumps(doc) + "\n", np.array_equal(solution.values, np.eye(args.dim) / args.dim)
+    return functools.partial(dumps, doc), np.array_equal(solution.values,
+                                                          np.eye(args.dim) / args.dim)
 
 
-def cmd_check_invariance(args) -> tuple[str, bool]:
+def cmd_check_invariance(args):
     a = _load_matrix(args.matrix)
     if args.random_unitary:
         b = seeded_unitary(StreamSpec(args.seed, CHUNK_OFFSET_PROBES), a.shape[0])
@@ -180,12 +185,14 @@ def cmd_check_invariance(args) -> tuple[str, bool]:
         "unitarity_residual": unitarity,
         "seed": args.seed,
     }
-    return dumps(doc) + "\n", max_gap <= bound
+    return functools.partial(dumps, doc), max_gap <= bound
 
 
-def cmd_sample(args) -> tuple[str, bool]:
-    vectors = sample_unit_vectors_chunked(StreamSpec(args.seed, 0), args.dim, args.count)
-    return write_json_dense(vectors), True
+def cmd_sample(args):
+    # the vectors are drawn as they are written, a chunk at a time; a row of
+    # zero normals therefore fails the run part way through its report
+    chunks = map_chunks(_normalize, StreamSpec(args.seed, 0), args.dim, args.count)
+    return functools.partial(dump_rows, (rows for _, rows in chunks)), True
 
 
 def main(argv=None) -> int:
@@ -195,11 +202,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        text, passed = args.func(args)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        write_report, passed = args.func(args)
+        # opened only now, so a run that fails before its report leaves the file as it was
+        with (open(args.output, "w", encoding="utf-8") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            write_report(out.write)
+            out.write("\n")
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

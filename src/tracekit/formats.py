@@ -17,7 +17,9 @@ byte-identical documents.  In a JSON document each float of a complex
 array is formatted once, and a square array that is bitwise the
 conjugate transpose of one written earlier in the same document reuses
 that array's digits, negated as strings; the bytes are the same as if it
-were formatted itself.
+were formatted itself.  A document can be written piece by piece, never
+whole: dumps(value, write) hands each piece to write() as it is made,
+and dump_rows writes blocks of rows, as they arrive, as one array.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "write_json_dense",
     "write_report_json",
     "dumps",
+    "dump_rows",
     "complex_pair",
     "matrix_pairs",
 ]
@@ -372,17 +375,46 @@ def write_json_dense(a) -> str:
     return dumps(np.atleast_2d(np.asarray(a, dtype=np.complex128))) + "\n"
 
 
-def dumps(value) -> str:
+def dumps(value, write=None):
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
 
     A complex128 ndarray (1-d or more) is written as nested [re, im] pairs,
     the same text as its matrix_pairs lists.  Each float is formatted
     once, and a square array that is bitwise the conjugate transpose of
     one written earlier in the same document reuses that array's digits.
+
+    Without `write` the text is returned.  With it, each piece of the text
+    goes to write(piece) as soon as it is made, in order, and None is
+    returned, so the document is never whole in memory: its largest piece
+    is the text of one array.  A value that cannot be written raises
+    ValueError when it is reached, after the pieces before it have gone.
     """
+    if write is not None:
+        _emit(value, write, [])
+        return None
     pieces = []
-    _emit(value, pieces, [])
+    _emit(value, pieces.append, [])
     return "".join(pieces)
+
+
+_WRITE_ROWS = 512  # rows formatted and written at a time by dump_rows
+
+
+def dump_rows(blocks, write) -> None:
+    """Write the rows of the complex (rows, n) arrays `blocks` yields, in order,
+    as the rows of one JSON array: the text dumps gives their concatenation,
+    handed to write() 512 rows at a time as each block is reached, so no more
+    than that much text is held."""
+    write("[")
+    sep = ""
+    for block in blocks:
+        m = _finite(block)
+        row = _row(m.shape[1], "[%.17g, %.17g]")
+        for lo in range(0, len(m), _WRITE_ROWS):
+            write(sep)
+            write(_rows(m[lo:lo + _WRITE_ROWS], row))
+            sep = ", "
+    write("]")
 
 
 _SIGN = np.uint64(1 << 63)
@@ -395,16 +427,11 @@ def _complex_array(a: np.ndarray, written: list) -> str:
     `written` holds (bits, text) of each nonempty square array the
     document has written so far, and gains this one's if it is one.
     """
-    m = np.ascontiguousarray(a)
-    floats = m.view(np.float64)
-    finite = np.isfinite(floats)
-    if not finite.all():
-        bad = float(floats.flat[np.argmin(finite)])
-        raise ValueError(f"cannot serialize non-finite float {bad!r}")
+    m = _finite(a)
     row = _row(m.shape[-1], "[%.17g, %.17g]")
     if not (m.ndim == 2 and m.shape[0] == m.shape[1] and m.size):
         return _nested(m, row)
-    bits = floats.view(np.uint64)
+    bits = m.view(np.uint64)
     for old_bits, old_text in written:
         # bitwise conj(old).T: the real bits transposed, the imaginary ones
         # transposed with the sign bit flipped (-0.0 and 0.0 differ)
@@ -419,6 +446,17 @@ def _complex_array(a: np.ndarray, written: list) -> str:
     return text
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a as a C-contiguous array; ValueError names its first non-finite float."""
+    m = np.ascontiguousarray(a)
+    floats = m.view(np.float64)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        bad = float(floats.flat[np.argmin(finite)])
+        raise ValueError(f"cannot serialize non-finite float {bad!r}")
+    return m
+
+
 def _row(width: int, pair: str) -> str:
     """A %-template for a row of `width` entries, each written by `pair`."""
     return "[" + ", ".join([pair] * width) + "]"
@@ -429,7 +467,15 @@ def _nested(m: np.ndarray, row: str) -> str:
     interleaved (re, im) floats."""
     if m.ndim == 1:
         return row % tuple(m.view(np.float64).tolist())
+    if m.ndim == 2:
+        return "[" + _rows(m, row) + "]"
     return "[" + ", ".join([_nested(part, row) for part in m]) + "]"
+
+
+def _rows(m: np.ndarray, row: str) -> str:
+    """The rows of a C-contiguous 2-d array, each `row` % its interleaved
+    (re, im) floats, joined by ", " without the brackets around them."""
+    return ", ".join([row % tuple(r) for r in m.view(np.float64).tolist()])
 
 
 def _conjugate_transpose(text: str, n: int) -> str:
@@ -448,50 +494,53 @@ def _conjugate_transpose(text: str, n: int) -> str:
                             for k in range(0, 2 * n * n, 2 * n)]) + "]"
 
 
-def _emit(value, pieces, written) -> None:
+def _emit(value, put, written) -> None:
     if value is None:
-        pieces.append("null")
+        put("null")
     elif isinstance(value, bool):
-        pieces.append("true" if value else "false")
+        put("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
+        put(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         if not np.isfinite(value):
             raise ValueError(f"cannot serialize non-finite float {value!r}")
-        pieces.append(_fmt(float(value)))
+        put(_fmt(float(value)))
     elif isinstance(value, str):
-        pieces.append(json.dumps(value))
+        put(json.dumps(value))
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128 and value.ndim:
-        pieces.append(_complex_array(value, written))
+        put(_complex_array(value, written))
     elif isinstance(value, (list, tuple)):
-        pieces.append("[")
+        put("[")
         for k, item in enumerate(value):
             if k:
-                pieces.append(", ")
-            _emit(item, pieces, written)
-        pieces.append("]")
+                put(", ")
+            _emit(item, put, written)
+        put("]")
     elif isinstance(value, dict):
-        pieces.append("{")
+        put("{")
         for k, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
             if k:
-                pieces.append(", ")
-            pieces.append(json.dumps(key))
-            pieces.append(": ")
-            _emit(item, pieces, written)
-        pieces.append("}")
+                put(", ")
+            put(json.dumps(key))
+            put(": ")
+            _emit(item, put, written)
+        put("}")
     else:
         raise ValueError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def write_report_json(report: EstimateReport) -> str:
-    """Serialize an estimate report with a fixed key order.
+    """Serialize an estimate report with a fixed key order: the text of
+    dumps(_report_doc(report)) and a newline."""
+    return dumps(_report_doc(report)) + "\n"
 
-    Keys: n, samples, mean, stderr, ci_radius, seed, exact and
-    abs_error = report.abs_error().
-    """
-    doc = {
+
+def _report_doc(report: EstimateReport) -> dict:
+    """An estimate report as a JSON object, with the keys n, samples, mean,
+    stderr, ci_radius, seed, exact and abs_error = report.abs_error()."""
+    return {
         "n": report.dim,
         "samples": report.sample_count,
         "mean": complex_pair(report.mean),
@@ -501,4 +550,3 @@ def write_report_json(report: EstimateReport) -> str:
         "exact": complex_pair(report.exact),
         "abs_error": report.abs_error(),
     }
-    return dumps(doc) + "\n"

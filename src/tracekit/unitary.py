@@ -46,10 +46,11 @@ def hermitian_parts(a) -> Tuple[np.ndarray, np.ndarray]:
 
 def _part_unitary(h) -> Tuple[float, np.ndarray]:
     """(||h||, U) from one solve h = Q diag(w) Q*: U = Q diag(lam - i sqrt(1 - lam^2)) Q*
-    with lam = w / ||h|| clipped to [-1, 1]; h = 0 gives U = -i I."""
+    with lam = w / ||h||, in [-1, 1] exactly (w is sorted, so |w| <= ||h||, and
+    a correctly rounded quotient keeps that); h = 0 gives U = -i I."""
     w, q = hermitian_eigh(h)
     norm = float(max(abs(w[0]), abs(w[-1])))
-    lam = np.clip(w / (norm or 1.0), -1.0, 1.0)
+    lam = w / (norm or 1.0)
     return norm, np.ascontiguousarray((q * (lam - 1j * np.sqrt(1.0 - lam * lam))) @ np.conj(q).T)
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import tracekit
-from tracekit import cli, uniqueness
+from tracekit import cli, sphere, uniqueness
 from tracekit.cli import main
 from tracekit.formats import (
     complex_pair,
@@ -657,6 +658,72 @@ class TestSample:
     def test_zero_dim_rejected(self, capsys):
         code, _, _ = run(capsys, "sample", "--dim", "0")
         assert code == 1
+
+    def test_memory_follows_the_chunks_in_flight(self, tmp_path, monkeypatch):
+        # the draws are written as their chunks arrive, so ten chunks on two
+        # threads peak at the chunks in flight (at most four ahead), where
+        # the array and its text of 40000 draws peaked ~10x higher
+        path = str(tmp_path / "s.json")
+        main(["sample", "--dim", "8", "--output", path])  # imports done before tracing
+        monkeypatch.setattr(sphere, "_cpus", lambda: 2)
+        peaks = {}
+        for count in (4097, 40000):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--dim", "8", "--count", str(count), "--output", path]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40000] < 4 * peaks[4097], peaks
+
+    def test_zero_row_fails_part_way_through_the_report(self, capsys, zero_rows):
+        # from row 100 of chunk 1 every row is 0: chunk 0 has been written
+        # when chunk 1's first row block fails, and the run exits 2 with one line
+        zero_rows(StreamSpec(0, 1), 2, 100, 2 * 2 * 2 * 9000)
+        code, out, err = run(capsys, "sample", "--dim", "2", "--count", "9000")
+        assert code == 2
+        assert err == "error: the sampler drew a row of zero normals; no unit vector\n"
+        first = sphere.sample_unit_vectors_chunked(StreamSpec(0, 0), 2, sphere.CHUNK_SIZE)
+        assert out == dumps(first)[:-1]  # chunk 0 only, the array left open
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{a}", "--samples", "5000"],
+        ["decompose", "{a}"],
+        ["uniqueness", "--dim", "3"],
+        ["check-invariance", "{a}", "--random-unitary", "--samples", "5000"],
+        ["sample", "--dim", "3", "--count", "4097"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_and_output_carry_the_same_bytes(self, capsys, random_file, tmp_path, argv):
+        argv = [arg.format(a=random_file) for arg in argv] + ["--seed", "4"]
+        out = report(capsys, *argv)
+        target = tmp_path / "r.json"
+        code, rest, _ = run(capsys, *argv, "--output", str(target))
+        assert code == 0 and rest == ""
+        assert target.read_bytes() == out.encode("utf-8")
+        assert out.endswith("\n") and json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{bad}"],
+        ["decompose", "{bad}"],
+        ["check-invariance", "{a}", "--unitary", "{bad}"],
+        ["check-invariance", "{a}", "--unitary", "{twice}"],
+        ["sample", "--dim", "2", "--count", str(2**60 + 1)],  # past the chunk offsets
+    ], ids=["estimate", "decompose", "invariance-file", "invariance-unitary", "sample"])
+    def test_a_failed_run_leaves_an_existing_output_file_as_it_was(
+            self, capsys, random_file, tmp_path, argv):
+        # the file is opened only once the report can be written
+        bad = tmp_path / "bad.mm"
+        bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\nx\n4\n")
+        twice = tmp_path / "twice.mm"
+        twice.write_text(write_matrix_market(2.0 * np.eye(4)))
+        target = tmp_path / "r.json"
+        target.write_bytes(b"earlier report\r\n\xff")
+        argv = [arg.format(a=random_file, bad=bad, twice=twice) for arg in argv]
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert target.read_bytes() == b"earlier report\r\n\xff"
 
 
 class TestUsage:

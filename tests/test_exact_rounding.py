@@ -19,7 +19,7 @@ from tracekit import sphere
 from tracekit.estimator import estimate_trace, substitution_identity_sweep
 from tracekit.linalg import _rounding_bound, _unit_peak, frobenius_norm
 from tracekit.sphere import CHUNK_OFFSET_PROBES, StreamSpec
-from tracekit.unitary import seeded_unitary
+from tracekit.unitary import decompose_into_unitaries, seeded_unitary
 
 COUNTS = (1, 3, 16, 150)
 
@@ -111,6 +111,35 @@ def test_floor_bounds_the_exact_error(n):
                 assert check(a, n, count, StreamSpec(seed, 0)) <= 1.0, (label, count, seed)
                 checked += 1
     assert checked == 80
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_floor_is_the_readme_formula(n):
+    # gamma_k ||A||_F + (8 n^2 + N) eta, k = 13 n + min(N, 4096) + 8 c for c
+    # chunks, in units of 2**e: the exact oracle above leaves room for a
+    # floor ~18 times too wide, so the formula itself is pinned.  At 2**-1000
+    # the first term is subnormal, and the eta term shows to the last unit
+    g = np.random.default_rng(2100 + n).standard_normal((n, n)) + 0j
+    for a in (g, g * 2.0**-1000):
+        s, e = _unit_peak(a)
+        for count in (1, 4096, 4097):
+            rep = estimate_trace(a, count, StreamSpec(n, 0))
+            k = 13 * n + min(count, 4096) + 8 * -(-count // 4096)
+            assert rep.rounding_floor == _rounding_bound(
+                k, frobenius_norm(s), 8 * n * n + count, e), (n, count, e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_decompose_bounds_are_the_readme_formulas(n):
+    # reconstruction gamma_{3 p(n) + 18 sqrt(n) + 4} ||A||_F + 20 n eta and
+    # unitarity gamma_{5 p(n) + 3 sqrt(n)}, with p(n) = 64 n
+    g = np.random.default_rng(2200 + n).standard_normal((n, n, 2)) @ [1, 1j]
+    for a in (g, g * 2.0**600, g * 2.0**-1000):
+        s, e = _unit_peak(a)
+        dec = decompose_into_unitaries(a)
+        assert dec.reconstruction_bound == _rounding_bound(
+            3 * 64 * n + 18 * n**0.5 + 4, frobenius_norm(s), 20 * n, e)
+        assert dec.unitarity_bound == _rounding_bound(5 * 64 * n + 3 * n**0.5, 1.0, 0)
 
 
 def product(p: tuple, q: tuple) -> tuple:

@@ -15,6 +15,7 @@ from tracekit.estimator import EstimateReport
 from tracekit.formats import (
     MatrixMarketError,
     complex_pair,
+    dump_rows,
     dumps,
     matrix_pairs,
     parse_json_dense,
@@ -554,6 +555,37 @@ class TestDeterministicJson:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_written_pieces_are_the_text(self):
+        # with a write callable every piece goes out in order, and none is kept
+        u = crandn(np.random.default_rng(34), 3, 3)
+        doc = {"u": u, "ut": np.conj(u).T, "x": [1.5, None, "s", True], "n": 3}
+        pieces = []
+        assert dumps(doc, pieces.append) is None
+        assert "".join(pieces) == dumps(doc) and len(pieces) > 10
+        pieces = []
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            dumps({"u": u, "x": np.nan}, pieces.append)
+        assert "".join(pieces) == dumps({"u": u})[:-1] + ", " + '"x": '
+
+    def test_row_blocks_are_written_as_one_array(self):
+        a = crandn(np.random.default_rng(35), 1100, 3)
+        a[0, :2] = [complex(-0.0, 5e-324), complex(1e308, -2.2e-308)]
+        cuts = [0, 0, 1, 600, 600, 1100]  # empty blocks, and one past 512 rows
+        pieces = []
+        dump_rows((a[lo:hi] for lo, hi in zip(cuts, cuts[1:])), pieces.append)
+        assert "".join(pieces) == dumps(a)
+        rows = [dumps(a[lo:hi])[1:-1] for lo, hi in ((0, 1), (1, 513), (513, 600), (600, 1100))]
+        assert pieces == ["[", "", rows[0], ", ", rows[1], ", ", rows[2], ", ", rows[3], "]"]
+        square = a[:3]
+        pieces = []
+        dump_rows(iter([square[:1], square[1:]]), pieces.append)
+        assert "".join(pieces) == dumps(square)
+        pieces = []
+        dump_rows(iter([]), pieces.append)
+        assert "".join(pieces) == "[]" == dumps(a[:0])
+        with pytest.raises(ValueError, match="non-finite float inf"):
+            dump_rows(iter([a[:2], np.array([[1j, np.inf, 0]])]), pieces.append)
 
     def test_rejects_unknown_types(self):
         with pytest.raises(ValueError, match="serialize"):
