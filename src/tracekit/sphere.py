@@ -10,7 +10,8 @@ Standard normals come from inverting the normal CDF: a raw 64-bit word
 r maps to u = min(((r >> 11) + 0.5) * 2**-53, 1 - 2**-53), which lies in
 [2**-54, 1 - 2**-53] (the half step rounds away above 2**52), then
 z = ndtri(u).  One word per normal, no rejection, so the mapping from
-counter position to draw is fixed for all time.
+counter position to draw is fixed for all time.  `_ndtri` loads scipy's
+compiled ndtri without scipy.special's __init__: the same ufunc, same bits.
 
 A Gaussian row in C^n consumes exactly 2n words: entry k is built from
 words (2k, 2k+1) as (real, imag).  Divided by its Euclidean norm, as only
@@ -36,6 +37,9 @@ the per-row results come back in chunk order.
 from __future__ import annotations
 
 import os
+import sys
+import threading
+import types
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -105,8 +109,6 @@ class GaussianStream:
     def gaussians(self, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Next `count` standard normals (float64), one raw word each; written
         into and returned as `out` (a 1-d float64 array of `count`) if given."""
-        from scipy.special import ndtri  # deferred: costs most of the CLI's import time
-
         raw = self.raw_words(count)
         raw >>= _U64(11)
         u = np.empty(count) if out is None else out
@@ -114,7 +116,35 @@ class GaussianStream:
         u += 0.5
         u *= 2.0**-53
         np.minimum(u, _U_MAX, out=u)
-        return ndtri(u, out=u)
+        return _ndtri()(u, out=u)
+
+
+_ndtri_lock = threading.Lock()
+_ndtri_ufunc = None
+
+
+def _ndtri():
+    """scipy.special.ndtri, loaded once per process.  Unless scipy.special is
+    imported already, its extension _ufuncs is imported under a bare stand-in
+    for the package, so the package's costly __init__ never runs; a later
+    import of it finds this same ufunc.  Exposed: a thread that first imports
+    scipy.special during those ~25 ms gets the stand-in."""
+    global _ndtri_ufunc
+    with _ndtri_lock:  # pool threads make the first draws
+        if _ndtri_ufunc is None and "scipy.special" not in sys.modules:
+            import scipy
+            stand_in = types.ModuleType("scipy.special")
+            stand_in.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+            sys.modules["scipy.special"] = stand_in
+            try:
+                from scipy.special._ufuncs import ndtri as _ndtri_ufunc
+            except ImportError:  # a scipy that moved it: the public import
+                pass
+            finally:
+                del sys.modules["scipy.special"]
+        if _ndtri_ufunc is None:
+            from scipy.special import ndtri as _ndtri_ufunc
+    return _ndtri_ufunc
 
 
 def gaussian_matrix(stream: GaussianStream, n: int) -> np.ndarray:

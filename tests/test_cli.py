@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and byte-level determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -809,8 +810,18 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _child(script: str, *flags: str) -> str:
+    """stdout of `script` run in a fresh interpreter, which must exit 0."""
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", script], env=_child_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
-    # scipy.special is only needed to sample; importing it costs most of the
+    # scipy is only needed to sample; importing it costs most of the
     # CLI's start-up time.  numpy.ma (~10 ms), which np.unique and np.isin
     # import on first use, is not needed either, nor is scipy.linalg (~0.2 s):
     # the eigensolve and the determinant come from numpy.linalg, and the
@@ -822,15 +833,100 @@ def test_decompose_and_uniqueness_leave_scipy_special_unimported(tmp_path):
         "from tracekit.cli import main\n"
         f"assert main(['uniqueness', '--dim', '{_MAX_DIM}', '--output', {str(tmp_path / 'u.json')!r}]) == 0\n"
         f"assert main(['decompose', {str(matrix)!r}, '--output', {str(tmp_path / 'd.json')!r}]) == 0\n"
-        "print('scipy.special' in sys.modules, 'numpy.ma' in sys.modules,\n"
-        "      'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True,
-        timeout=120,
+    assert _child(script) == "False False\n"
+
+
+def test_sampling_leaves_scipy_special_unimported(tmp_path):
+    # the sampler loads scipy.special's compiled ndtri without running the
+    # package's __init__ (~0.15 s and ~13 MB of estimate's start-up); the
+    # reports are those of the ufunc that a full import of scipy.special gives
+    matrix = tmp_path / "a.mm"
+    matrix.write_text(write_matrix_market(np.array([[1.0, 2.0j], [3.0, 4.0]])))
+    runs = [  # 5000 draws: two chunks, first drawn on the pool's threads
+        ["estimate", str(matrix), "--samples", "5000", "--seed", "4"],
+        ["check-invariance", str(matrix), "--random-unitary", "--samples", "5000", "--seed", "5"],
+        ["sample", "--dim", "3", "--count", "5000", "--seed", "6"],
+    ]
+
+    def reports(side: str, before: str, after: str):
+        outputs = [tmp_path / f"{side}{k}.json" for k in range(len(runs))]
+        script = before + "import sys\nfrom tracekit.cli import main\n" + "".join(
+            f"assert main({argv + ['--output', str(out)]!r}) == 0\n"
+            for argv, out in zip(runs, outputs)) + after
+        return _child(script, "-W", "error"), [out.read_bytes() for out in outputs]
+
+    printed, lean = reports("lean", "", (
+        "print('scipy.special' in sys.modules)\n"
+        "import scipy.special, tracekit.sphere\n"
+        "print(scipy.special.ndtri is tracekit.sphere._ndtri())\n"))
+    assert printed == "False\nTrue\n"
+    printed, full = reports("full", "import scipy.special\n", "")
+    assert lean == full
+
+
+_DRAW = (
+    "import hashlib, sys\n"
+    "from tracekit import sphere\n"
+    "def draw(i):\n"
+    "    z = sphere.GaussianStream(sphere.StreamSpec(7, i)).gaussians(1000)\n"
+    "    return hashlib.sha256(z.tobytes()).hexdigest()\n"
+)
+
+
+def _serial_draws(count: int) -> list:
+    return [hashlib.sha256(sphere.GaussianStream(StreamSpec(7, i)).gaussians(1000).tobytes())
+            .hexdigest() for i in range(count)]
+
+
+def test_first_draws_on_several_threads_at_once_get_the_serial_bits():
+    # the threads race to load ndtri; one loads it, the others wait for it
+    script = _DRAW + (
+        "import threading\n"
+        "barrier, out = threading.Barrier(4, timeout=60), {}\n"
+        "def run(i):\n"
+        "    barrier.wait()\n"
+        "    out[i] = draw(i)\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(60)\n"
+        "print('scipy.special' in sys.modules, *(out[i] for i in range(4)))\n"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False False False False\n"
+    assert _child(script).split() == ["False", *_serial_draws(4)]
+
+
+def test_ndtri_falls_back_to_the_public_import():
+    # a scipy whose scipy.special._ufuncs cannot be imported on its own (here
+    # its first import fails) gets `from scipy.special import ndtri`: same draws
+    script = (
+        "import sys\n"
+        "class RefuseOnce:\n"
+        "    refused = 0\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy.special._ufuncs' and not self.refused:\n"
+        "            self.refused += 1\n"
+        "            raise ImportError(name)\n"
+        "sys.meta_path.insert(0, RefuseOnce())\n"
+    ) + _DRAW + (
+        "digest = draw(0)\n"
+        "import scipy.special\n"
+        "print(sys.meta_path[0].refused, scipy.special.ndtri is sphere._ndtri(), digest)\n"
+    )
+    assert _child(script).split() == ["1", "True", *_serial_draws(1)]
+    # with no _ufuncs at all, neither path has an ndtri: the public import's
+    # ImportError is raised, and the stand-in package is gone again
+    script = (
+        "import sys\n"
+        "sys.modules['scipy.special._ufuncs'] = None\n"
+        "from tracekit import sphere\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        "        sphere._ndtri()\n"
+        "    except ImportError as exc:\n"
+        "        print(exc.name, 'scipy.special' in sys.modules)\n"
+    )
+    assert _child(script) == "scipy.special._ufuncs False\n" * 2
 
 
 def test_files_are_utf_8_in_every_locale(tmp_path):

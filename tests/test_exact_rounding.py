@@ -4,7 +4,8 @@ Each float is a rational number, so the mean of the exact Rayleigh quotients
 <A z, z> / <z, z> of the very Gaussian rows z that `estimate_trace` draws,
 and tr(A) / n, are fractions.  The report's mean and `exact` must lie within
 `rounding_floor` of them together: |mean - M| + |exact - tr(A) / n| is
-checked against the floor in exact arithmetic.  So is the square of the
+checked against the floor in exact arithmetic (past one chunk, with the
+exact mean held in a box of exact bounds).  So is the square of the
 sweep's exact gap for the float A, B and z, against the two parts of its
 `bound`.
 """
@@ -33,18 +34,36 @@ def integers(x: np.ndarray):
     return m.astype(object) << np.where(m != 0, exponent - e, 0).astype(object), e
 
 
-def exact_mean(a: np.ndarray, rows: np.ndarray) -> tuple:
-    """The mean of <A z, z> / <z, z> over the rows z, as (re, im) Fractions."""
+def quotients(a: np.ndarray, rows: np.ndarray) -> tuple:
+    """(re, im, den, e): <A z, z> / <z, z> of row j is (re[j] + i im[j]) / den[j]
+    * 2**e, with re, im and den object arrays of Python ints."""
     (ar, ai), e = integers(np.stack([a.real, a.imag]))
     (zr, zi), ez = integers(np.stack([rows.real, rows.imag]))
     vr = zr @ ar.T - zi @ ai.T  # the rows of A z, times 2**-(e + ez)
     vi = zi @ ar.T + zr @ ai.T
-    num_re = (vr * zr + vi * zi).sum(axis=1)
-    num_im = (vi * zr - vr * zi).sum(axis=1)
     den = (zr * zr + zi * zi).sum(axis=1)
+    return (vr * zr + vi * zi).sum(axis=1), (vi * zr - vr * zi).sum(axis=1), den, e
+
+
+def exact_mean(a: np.ndarray, rows: np.ndarray) -> tuple:
+    """The mean of <A z, z> / <z, z> over the rows z, as (re, im) Fractions."""
+    num_re, num_im, den, e = quotients(a, rows)
     top_re, top_im, bottom = total(list(zip(num_re, num_im, den)))
     scale = Fraction(2) ** e / len(rows)
     return Fraction(top_re, bottom) * scale, Fraction(top_im, bottom) * scale
+
+
+def mean_corners(a: np.ndarray, rows: np.ndarray, bits: int = 128) -> list:
+    """The corners of a box, exact Fractions, that holds that mean: each part of
+    each quotient floored to a multiple of 2**(e - bits) and summed to S, so
+    the part of the mean lies in [S, S + N] * 2**(e - bits) / N.  It skips the
+    exact sum's common denominator, a million bits at N = 9000.  A side,
+    2**(e - bits), is below 2**-75 of the floor, which exceeds 2**-53 |A|_F
+    >= 2**(e - 53)."""
+    num_re, num_im, den, e = quotients(a, rows)
+    unit, count = Fraction(2) ** (e - bits) / len(rows), len(rows)
+    re, im = (sum((x << bits) // d for x, d in zip(num, den)) for num in (num_re, num_im))
+    return [((re + i) * unit, (im + j) * unit) for i in (0, count) for j in (0, count)]
 
 
 def total(terms: list) -> tuple:
@@ -91,10 +110,13 @@ def matrices(n: int):
         yield f"2**{k} gaussian", gaussian() * 2.0**k
 
 
-def check(a: np.ndarray, n: int, count: int, spec: StreamSpec) -> float:
+def check(a: np.ndarray, n: int, count: int, spec: StreamSpec, box: bool = False) -> float:
+    # with box, the largest distance to a corner of mean_corners stands in for
+    # the distance to the exact mean, which it bounds (the square is convex)
     rep = estimate_trace(a, count, spec)
     rows = np.concatenate([z for _, z in sphere.map_chunks(lambda z: z, spec, n, count)])
-    s1 = square(rep.mean, exact_mean(a, rows))
+    means = mean_corners(a, rows) if box else [exact_mean(a, rows)]
+    s1 = max(square(rep.mean, m) for m in means)
     s2 = square(rep.exact, exact_trace(a))
     floor = Fraction(rep.rounding_floor)
     assert within(s1, s2, floor), (n, count, rep)
@@ -111,6 +133,14 @@ def test_floor_bounds_the_exact_error(n):
                 assert check(a, n, count, StreamSpec(seed, 0)) <= 1.0, (label, count, seed)
                 checked += 1
     assert checked == 80
+
+
+@pytest.mark.parametrize("count", [4097, 9000])
+def test_floor_bounds_the_exact_error_over_chunks(count):
+    # two and three chunks, so the floor's 8 c merge terms are exercised
+    cases = dict(matrices(2))
+    for label in ("gaussian", "cI", "cI + small", "2**-1040 gaussian"):
+        assert check(cases[label], 2, count, StreamSpec(count, 0), box=True) <= 1.0, label
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
