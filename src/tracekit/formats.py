@@ -13,13 +13,17 @@ All numeric output (Matrix Market and JSON alike) prints floats with
 write -> parse is the identity on matrices, and every float of a report
 reads back with its bits.  JSON is
 emitted with fixed key order, making equal inputs produce
-byte-identical documents.  In a JSON document each float of a complex
-array is formatted once, and a square array that is bitwise the
-conjugate transpose of one written earlier in the same document reuses
-that array's digits, negated as strings; the bytes are the same as if it
-were formatted itself.  A document can be written piece by piece, never
-whole: dumps(value, write) hands each piece to write() as it is made,
-and dump_rows writes blocks of rows, as they arrive, as one array.
+byte-identical documents.  The floats of a complex array, in JSON and
+Matrix Market alike, are written from exact integer digits where their
+%.17g text is "0." and at most three zeros before the digits: the 17
+significant digits are worked out from the 53-bit mantissa in uint64
+arithmetic, rounded half to even as %.17g rounds them, and zeros are
+written "0" and "-0".  Every other float (|x| >= 1, below 1e-4, a
+subnormal), and every float of an array of fewer than 256 entries or of
+mostly |x| >= 1, is written by %.17g itself, so the bytes are those of
+%.17g on each float.  A document can be written piece by piece, never whole:
+dumps(value, write) hands each piece to write() as it is made, and
+dump_rows writes blocks of rows, as they arrive, as one array.
 """
 
 from __future__ import annotations
@@ -304,9 +308,9 @@ def write_matrix_market(a) -> str:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix must be 2-dimensional and nonempty, got {m.shape}")
     out = ["%%MatrixMarket matrix array complex general", "%d %d" % m.shape]
-    # one %-template over the column-major (re, im) floats
-    floats = m.T.ravel().view(np.float64).tolist()
-    out.append("\n".join(["%.17g %.17g"] * m.size) % tuple(floats))
+    # one %-template over the column-major entries
+    f, args = _floats(m.T.ravel())
+    out.append("\n".join(["%s %s" % (f, f)] * m.size) % tuple(args))
     return "\n".join(out) + "\n"
 
 
@@ -379,9 +383,8 @@ def dumps(value, write=None):
     """Deterministic JSON: insertion-ordered keys, floats at 17 digits.
 
     A complex128 ndarray (1-d or more) is written as nested [re, im] pairs,
-    the same text as its matrix_pairs lists.  Each float is formatted
-    once, and a square array that is bitwise the conjugate transpose of
-    one written earlier in the same document reuses that array's digits.
+    the same text as its matrix_pairs lists: its fixed-form floats below 1
+    and its zeros from exact integer digits, every other float by %.17g.
 
     Without `write` the text is returned.  With it, each piece of the text
     goes to write(piece) as soon as it is made, in order, and None is
@@ -390,10 +393,10 @@ def dumps(value, write=None):
     ValueError when it is reached, after the pieces before it have gone.
     """
     if write is not None:
-        _emit(value, write, [])
+        _emit(value, write)
         return None
     pieces = []
-    _emit(value, pieces.append, [])
+    _emit(value, pieces.append)
     return "".join(pieces)
 
 
@@ -409,41 +412,11 @@ def dump_rows(blocks, write) -> None:
     sep = ""
     for block in blocks:
         m = _finite(block)
-        row = _row(m.shape[1], "[%.17g, %.17g]")
         for lo in range(0, len(m), _WRITE_ROWS):
             write(sep)
-            write(_rows(m[lo:lo + _WRITE_ROWS], row))
+            write(_rows(m[lo:lo + _WRITE_ROWS]))
             sep = ", "
     write("]")
-
-
-_SIGN = np.uint64(1 << 63)
-_BRACKETS = str.maketrans("", "", "[]")
-
-
-def _complex_array(a: np.ndarray, written: list) -> str:
-    """[re, im] pairs of a complex array, nested by its axes.
-
-    `written` holds (bits, text) of each nonempty square array the
-    document has written so far, and gains this one's if it is one.
-    """
-    m = _finite(a)
-    row = _row(m.shape[-1], "[%.17g, %.17g]")
-    if not (m.ndim == 2 and m.shape[0] == m.shape[1] and m.size):
-        return _nested(m, row)
-    bits = m.view(np.uint64)
-    for old_bits, old_text in written:
-        # bitwise conj(old).T: the real bits transposed, the imaginary ones
-        # transposed with the sign bit flipped (-0.0 and 0.0 differ)
-        if (old_bits.shape == bits.shape
-                and np.array_equal(bits[:, 0::2], old_bits[:, 0::2].T)
-                and np.array_equal(bits[:, 1::2], old_bits[:, 1::2].T ^ _SIGN)):
-            text = _conjugate_transpose(old_text, m.shape[0])
-            break
-    else:
-        text = _nested(m, row)
-    written.append((bits, text))
-    return text
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -457,44 +430,96 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def _row(width: int, pair: str) -> str:
-    """A %-template for a row of `width` entries, each written by `pair`."""
-    return "[" + ", ".join([pair] * width) + "]"
-
-
-def _nested(m: np.ndarray, row: str) -> str:
-    """An array's text nested by its axes; each 1-d row is `row` % its
-    interleaved (re, im) floats."""
+def _nested(m: np.ndarray) -> str:
+    """A C-contiguous array's text, nested by its axes."""
     if m.ndim == 1:
-        return row % tuple(m.view(np.float64).tolist())
+        return _rows(m[None])
     if m.ndim == 2:
-        return "[" + _rows(m, row) + "]"
-    return "[" + ", ".join([_nested(part, row) for part in m]) + "]"
+        return "[" + _rows(m) + "]"
+    return "[" + ", ".join([_nested(part) for part in m]) + "]"
 
 
-def _rows(m: np.ndarray, row: str) -> str:
-    """The rows of a C-contiguous 2-d array, each `row` % its interleaved
-    (re, im) floats, joined by ", " without the brackets around them."""
-    return ", ".join([row % tuple(r) for r in m.view(np.float64).tolist()])
+def _rows(m: np.ndarray) -> str:
+    """The rows of a C-contiguous 2-d complex array, each a list of [re, im]
+    pairs, joined by ", " without the brackets around them."""
+    f, args = _floats(m)
+    row = "[" + ", ".join(["[%s, %s]" % (f, f)] * m.shape[1]) + "]"
+    return ", ".join([row % tuple(r) for r in args])
 
 
-def _conjugate_transpose(text: str, n: int) -> str:
-    """The text of conj(a).T from the text of a nonempty n x n array a.
+def _floats(m: np.ndarray):
+    """A %-format for one float of the C-contiguous complex array m, and its
+    arguments, nested as m.view(np.float64).tolist() is: the float itself
+    for "%.17g", or its two _texts pieces for "%s%s" where m has
+    _DIGITS_FROM entries or more and at least half its floats are below 1."""
+    floats = m.view(np.float64)
+    if m.size < _DIGITS_FROM or np.count_nonzero(np.abs(floats) < 1) < m.size:
+        return "%.17g", floats.tolist()
+    return "%s%s", _texts(floats.ravel()).reshape(floats.shape[:-1] + (-1,)).tolist()
 
-    The digits are reused, not formatted again: %.17g of -x is "-"
-    followed by %.17g of x for every finite x, signed zeros included, so
-    negating an imaginary token as a string gives the digits of -im.
+
+# Below ~150 entries (warm caches; more when cold) % alone costs less than the
+# ~45 numpy calls of _texts.
+_DIGITS_FROM = 256
+_TEXT_FLOATS = 1 << 13  # floats taken at a time by _texts: 64 KB arrays
+_POW5 = 5 ** np.arange(22, dtype=np.uint64)
+# "0." and -1 - X zeros for the decimal exponents X = -1 to -4, then a
+# zero's prefix, each unsigned and signed
+_PREFIXES = np.array(["0.", "0.0", "0.00", "0.000", "",
+                      "-0.", "-0.0", "-0.00", "-0.000", "-"], dtype=object)
+
+
+def _texts(floats: np.ndarray) -> np.ndarray:
+    """The %.17g text of each of the floats, as the two pieces in a row of
+    a (floats.size, 2) object array whose concatenation it is.
+
+    A float 2**-14 <= |x| < 2**e <= 1 is M 2**(e - 53), M its 53-bit
+    mantissa.  Its 17 digits are N, y = |x| 10**(16 - X) rounded half to
+    even, where X is its decimal exponent: floor(log10 2**(e - 1)), or one
+    more where that y reaches 10**17.  y is worked out exactly, as the
+    integer q plus r / 2**s, in uint64 limbs.  N never rounds up to 10**17:
+    that takes |x| within a relative 5e-18 below 10**(X + 1), and the float
+    below each 10**j, j = -4 to 0, is a relative 8e-17 or more below it.
+    Where X >= -4, and for zeros, the pieces are a _PREFIXES string and N
+    stripped of trailing zeros; every other float keeps its %.17g text,
+    followed by "".  The floats are taken _TEXT_FLOATS at a time, so the
+    temporaries stay small and in cache.
     """
-    tokens = text.translate(_BRACKETS).split(", ")
-    re, im = tokens[0::2], tokens[1::2]
-    tokens[0::2] = [t for j in range(n) for t in re[j::n]]
-    tokens[1::2] = [t[1:] if t[0] == "-" else "-" + t for j in range(n) for t in im[j::n]]
-    row = _row(n, "[%s, %s]")
-    return "[" + ", ".join([row % tuple(tokens[k:k + 2 * n])
-                            for k in range(0, 2 * n * n, 2 * n)]) + "]"
+    pieces = np.empty((floats.size, 2), dtype=object)
+    for start in range(0, floats.size, _TEXT_FLOATS):
+        x, out = floats[start:start + _TEXT_FLOATS], pieces[start:start + _TEXT_FLOATS]
+        frac, e = np.frexp(x)
+        slow = (e < -13) | (e > 0)  # |x| < 2**-14, subnormals too, or |x| >= 1
+        np.clip(e, -13, 0, out=e)
+        M = (np.abs(frac) * 2.0**53).astype(np.uint64)
+        X = (e - 1) * 78913 >> 18  # floor((e - 1) log10 2), as in Ryu
+        # y = M 5**k / 2**s with k = 16 - X and s = 53 - e - k in [36, 45]
+        p, s = _POW5[16 - X], (37 - e + X).astype(np.uint64)
+        mh, ml, ph, pl = M >> 32, M & 0xFFFFFFFF, p >> 32, p & 0xFFFFFFFF
+        mid, low = mh * pl + ml * ph, ml * pl  # mid < 2**54
+        lo = low + (mid << 32)  # M 5**k = hi 2**64 + lo
+        hi = mh * ph + (mid >> 32) + (lo < low)
+        q, r, half = (hi << (64 - s)) | (lo >> s), lo & ((1 << s) - 1), 1 << (s - 1)
+        ten = np.where(q < 10**17, 1, 10).astype(np.uint64)  # 10 where X is one more: y / 10
+        r += q % ten << s
+        half *= ten
+        q //= ten
+        X += ten > 1
+        N = q + (r + (q & 1) > half)  # half to even
+        slow |= X < -4
+        zeros = np.flatnonzero(N % 10 == 0)
+        for power in (10**16, 10**8, 10**4, 10**2, 10):  # 16 trailing zeros at most (0.5)
+            strip = zeros[N[zeros] % power == 0]
+            N[strip] //= power
+        out[:, 0] = _PREFIXES[np.where(N == 0, 4, -1 - X) + 5 * np.signbit(x)]
+        out[:, 1] = N
+        at = np.flatnonzero(slow)
+        out[at, 0] = ["%.17g" % v for v in x[at].tolist()]
+        out[at, 1] = ""
+    return pieces
 
 
-def _emit(value, put, written) -> None:
+def _emit(value, put) -> None:
     if value is None:
         put("null")
     elif isinstance(value, bool):
@@ -508,13 +533,13 @@ def _emit(value, put, written) -> None:
     elif isinstance(value, str):
         put(json.dumps(value))
     elif isinstance(value, np.ndarray) and value.dtype == np.complex128 and value.ndim:
-        put(_complex_array(value, written))
+        put(_nested(_finite(value)))
     elif isinstance(value, (list, tuple)):
         put("[")
         for k, item in enumerate(value):
             if k:
                 put(", ")
-            _emit(item, put, written)
+            _emit(item, put)
         put("]")
     elif isinstance(value, dict):
         put("{")
@@ -525,7 +550,7 @@ def _emit(value, put, written) -> None:
                 put(", ")
             put(json.dumps(key))
             put(": ")
-            _emit(item, put, written)
+            _emit(item, put)
         put("}")
     else:
         raise ValueError(f"cannot serialize {type(value).__name__} to JSON")

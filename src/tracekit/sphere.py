@@ -126,22 +126,27 @@ _ndtri_ufunc = None
 def _ndtri():
     """scipy.special.ndtri, loaded once per process.  Unless scipy.special is
     imported already, its extension _ufuncs is imported under a bare stand-in
-    for the package, so the package's costly __init__ never runs; a later
-    import of it finds this same ufunc.  Exposed: a thread that first imports
-    scipy.special during those ~25 ms gets the stand-in."""
+    for the package, so the package's costly __init__ never runs.  The
+    stand-in and the submodules imported under it then leave sys.modules:
+    a later import of the package, or of a submodule by name, binds the
+    submodule to the package and finds the extension module already made,
+    so scipy.special.ndtri is this ufunc.  Exposed: a thread that first
+    imports scipy.special during those ~25 ms gets the stand-in."""
     global _ndtri_ufunc
     with _ndtri_lock:  # pool threads make the first draws
         if _ndtri_ufunc is None and "scipy.special" not in sys.modules:
             import scipy
             stand_in = types.ModuleType("scipy.special")
             stand_in.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+            before = set(sys.modules)
             sys.modules["scipy.special"] = stand_in
             try:
                 from scipy.special._ufuncs import ndtri as _ndtri_ufunc
             except ImportError:  # a scipy that moved it: the public import
                 pass
-            finally:
-                del sys.modules["scipy.special"]
+            finally:  # the stand-in, and the submodules it was given
+                for name in {k for k in sys.modules if k.startswith("scipy.special")} - before:
+                    del sys.modules[name]
         if _ndtri_ufunc is None:
             from scipy.special import ndtri as _ndtri_ufunc
     return _ndtri_ufunc

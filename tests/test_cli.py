@@ -860,8 +860,13 @@ def test_sampling_leaves_scipy_special_unimported(tmp_path):
     printed, lean = reports("lean", "", (
         "print('scipy.special' in sys.modules)\n"
         "import scipy.special, tracekit.sphere\n"
-        "print(scipy.special.ndtri is tracekit.sphere._ndtri())\n"))
-    assert printed == "False\nTrue\n"
+        "print(scipy.special.ndtri is tracekit.sphere._ndtri())\n"
+        # each extension submodule imported by name is an attribute of the package
+        "names = ['_ufuncs', '_ufuncs_cxx', '_special_ufuncs', '_gufuncs', '_ellip_harm_2']\n"
+        "for name in names:\n"
+        "    __import__('scipy.special.' + name)\n"
+        "print(all(hasattr(scipy.special, name) for name in names))\n"))
+    assert printed == "False\nTrue\nTrue\n"
     printed, full = reports("full", "import scipy.special\n", "")
     assert lean == full
 

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 import re
 import tracemalloc
 
@@ -492,8 +493,8 @@ class TestDeterministicJson:
                     np.array([1.0, complex(0.0, -np.inf)])):
             with pytest.raises(ValueError, match="non-finite float (nan|-inf)"):
                 dumps(bad)
-        # the first in document order, also past an array that a later
-        # conjugate transpose would reuse
+        # the first in document order, also past an array whose conjugate
+        # transpose comes later
         u = crandn(np.random.default_rng(32), 3, 3)
         bad = np.conj(u).T.copy()
         bad[2, 1] = complex(-np.inf, np.nan)
@@ -522,23 +523,38 @@ class TestDeterministicJson:
         for shape, text in (((0,), "[]"), ((2, 0), "[[], []]"), ((0, 3), "[]")):
             assert dumps(np.zeros(shape, dtype=complex)) == text
 
-    def test_conjugate_transpose_reuses_digits(self, monkeypatch):
-        # only a square array bitwise equal to conj(earlier).T is rebuilt
-        # from the earlier text; a sign-flipped zero is a different array
-        calls = []
-        reuse = formats._conjugate_transpose
-        monkeypatch.setattr(formats, "_conjugate_transpose",
-                            lambda text, n: calls.append(n) or reuse(text, n))
-        u = crandn(np.random.default_rng(31), 4, 4)
-        u[0, 1] = complex(1.0, 0.0)
-        flipped = np.conj(u).T.copy()
-        flipped[1, 0] = complex(1.0, 0.0)  # conj gives (1.0, -0.0)
-        shifted = np.conj(u).T.copy()
-        shifted.real += 1.0
-        doc = [u, u.T, flipped, shifted, np.conj(u).T, np.conj(u[:3]).T,
-               np.conj(np.conj(u).T).T]
-        assert dumps(doc) == dumps([matrix_pairs(m) for m in doc])
-        assert calls == [4, 4]
+    def test_array_digits_are_those_of_percent_17g(self):
+        # the exact digit path against '%.17g' % x, float by float
+        rng = np.random.default_rng(36)
+        words = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+        near = words.copy()  # random signs and mantissas, exponents 2**-16 to 2
+        near &= ~np.uint64(0x7FF << 52)
+        near |= rng.integers(1023 - 16, 1023 + 2, near.size, dtype=np.uint64) << np.uint64(52)
+        ties = [j / 2**q for q in range(1, 26)  # 18 digits ending in 5: ties at 17
+                for j in range(-(-10**17 // 5**q) | 1, min(10**18 // 5**q, 2**q), 2)][::97]
+        edges = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0,
+                 math.nextafter(1, 0), 1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1),
+                 *[k / 10 for k in range(1, 10)], *[2.0**-k for k in range(1, 71)],
+                 # the floats next below the powers of ten: none rounds up to one
+                 *[math.nextafter(10.0**-j, 0) for j in range(6)], *ties]
+        floats = np.concatenate([
+            near.view(np.float64),
+            words[:2 * 10**4].view(np.float64),  # every exponent, subnormals, nan, inf
+            rng.uniform(-1, 1, 10**6),
+            10.0 ** rng.uniform(-6, 0, 3 * 10**4),  # every decimal exponent of the path
+            edges, np.negative(edges)])
+        floats = floats[np.isfinite(floats)]
+        floats = floats[:floats.size // 2 * 2]
+        assert len(ties) > 100 and floats.size > 2 * 10**6
+        z = floats.view(np.complex128)
+        assert dumps(z) == "[" + ", ".join(["[%.17g, %.17g]"] * z.size) % tuple(floats.tolist()) + "]"
+        # arrays large enough for the digit path, nested and in Matrix Market
+        block = floats[:2 * 3 * 20 * 20].view(np.complex128).reshape(3, 20, 20)
+        assert dumps(block) == dumps([matrix_pairs(b) for b in block])
+        large = block * 2.0**12  # mostly |x| >= 1: written by % alone
+        assert dumps(large) == dumps([matrix_pairs(b) for b in large])
+        assert write_matrix_market(block[0]).split("\n")[2:-1] == [
+            "%.17g %.17g" % (z.real, z.imag) for z in block[0].T.ravel().tolist()]
 
     def test_dumps_leaves_no_cyclic_garbage(self):
         # garbage in a reference cycle waits for the cyclic collector, so
