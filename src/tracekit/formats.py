@@ -28,8 +28,10 @@ dump_rows writes blocks of rows, as they arrive, as one array.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 
@@ -98,9 +100,12 @@ def _is_body(raw: str) -> bool:
     return bool(line := raw.lstrip()) and line[0] != "%"
 
 
-def _body(text: str, start: int) -> list:
-    """(number, line) of each body line of `text` after line `start`."""
-    return [(n, raw) for n, raw in enumerate(text.split("\n")[start:], start + 1) if _is_body(raw)]
+def _body(text: str, start: int, k: int):
+    """(number, match) of body line k (0-based) of `text` after line `start`,
+    or None past the last.  The lines, which end at "\n" only as "." stops,
+    are matched one at a time from the top, so no list of them is made."""
+    lines = itertools.islice(enumerate(re.finditer("^.*$", text, re.M), 1), start, None)
+    return next(itertools.islice(((n, m) for n, m in lines if _is_body(m[0])), k, None), None)
 
 
 def _integer(token: str) -> int:
@@ -145,7 +150,8 @@ def parse_matrix_market(text) -> np.ndarray:
     or a fault.  Transient memory is the numbers twice, as floats and as
     the matrix, a coordinate file's indices once more as intp, and some
     60 KB for the block in hand: 0.9x the text of a 64 x 64 array file,
-    1.5x that of a coordinate file.
+    1.5x that of a coordinate file.  A fault costs no more memory than a
+    read: its line is found by walking the lines again one at a time.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -170,15 +176,11 @@ def parse_matrix_market(text) -> np.ndarray:
         raise MatrixMarketError(f"line 1: unsupported symmetry {symmetry!r}")
 
     # the size line is the first body line, and the data lines are the rest
-    number = 1
-    while True:
-        start = end + 1
-        if start >= len(text):  # a final newline ends the last line and starts none
-            raise MatrixMarketError(f"line {number}: missing size line")
-        end = text.find("\n", start) % (len(text) + 1)
-        number += 1
-        if _is_body(size_line := text[start:end]):
-            break
+    if (size := _body(text, 1, 0)) is None:
+        last = text.count("\n", 0, -1) + 1  # a final newline ends the last line and starts none
+        raise MatrixMarketError(f"line {last}: missing size line")
+    number, match = size
+    size_line, end = match[0], match.end()
     tokens = size_line.split()
     want_size = 3 if fmt == "coordinate" else 2
     if len(tokens) != want_size:
@@ -221,8 +223,15 @@ def parse_matrix_market(text) -> np.ndarray:
     # so a file short of its size line's count allocates no more than it holds
     values = np.empty((min(expected, (len(text) - end) // (2 * width)), width))
     flat = values.reshape(-1)
-    found = 0  # body lines so far
-    line, start = number, end + 1  # the line before the block, and its start
+
+    def fault(k: int, problem: str) -> MatrixMarketError:
+        # data line k, found by walking the text again: only a fault pays the
+        # time, and the walk costs no more memory than a read
+        n, match = _body(text, number, k)
+        return MatrixMarketError(f"line {n}: {problem}: {match[0]!r}")
+
+    found = 0  # data lines so far
+    start = end + 1
     while start < len(text):
         end = len(text)
         if end - start > _BLOCK:  # cut at a newline, past _BLOCK for a longer line
@@ -230,36 +239,26 @@ def parse_matrix_market(text) -> np.ndarray:
                    or text.find("\n", start + _BLOCK) + 1 or end)
         block, start = text[start:end], end
         read = _read(block, width, integers)
-        if read is not None:  # every line of the block is a data line
-            line += len(read) // width
-        else:  # a blank line, a comment or a fault: line by line
+        if read is None:  # a blank line, a comment or a fault: line by line
             read = []
-            for n, raw in enumerate(block.split("\n"), line + 1):
-                if not _is_body(raw):
-                    continue
+            for raw in filter(_is_body, block.split("\n")):
                 row = _read(raw, width, integers)
                 if row is None:
-                    raise MatrixMarketError(f"line {n}: expected {entry}: {raw!r}")
+                    raise fault(found + len(read) // width, f"expected {entry}")
                 read += row
-            line += block.count("\n")
         at = found * width
         found += len(read) // width
         if at < flat.size:  # past it, found > expected
             flat[at:at + len(read)] = read[:flat.size - at]
     if found > expected:
         raise MatrixMarketError(
-            f"line {_body(text, number)[expected][0]}: extra data, expected {expected} entries"
+            f"line {_body(text, number, expected)[0]}: extra data, expected {expected} entries"
         )
     if found < expected:
         raise MatrixMarketError(
-            f"line {_body(text, number)[-1][0] if found else number}: "
+            f"line {_body(text, number, found - 1)[0] if found else number}: "
             f"expected {_decimal(expected)} entries, found {found}"
         )
-
-    def fault(k: int, problem: str) -> MatrixMarketError:
-        # the data lines are numbered again from the text: only a fault pays
-        n, raw = _body(text, number)[k]
-        return MatrixMarketError(f"line {n}: {problem}: {raw!r}")
 
     if fmt == "coordinate":  # 1-based, checked as floats: past intp a cast would warn
         indices, values = values[:, :2], values[:, 2:]

@@ -187,6 +187,31 @@ class TestMatrixMarketParse:
             tracemalloc.stop()
         assert peak < bound * len(text)
 
+    @pytest.mark.parametrize("fmt, edit, message, bound", [
+        ("array", lambda last: "nan 0\n", "line 65538: non-finite value: 'nan 0'", 1.5),
+        ("array", lambda last: "", "line 65537: expected 65536 entries, found 65535", 1.5),
+        ("array", lambda last: last + "1 0\n", "line 65539: extra data, expected 65536 entries",
+         1.5),
+        ("coordinate", lambda last: "257 1 0 0\n",
+         "line 65538: index out of range for a 256 x 256 matrix: '257 1 0 0'", 1.6),
+    ], ids=["non-finite", "short", "extra-data", "index"])
+    def test_fault_peak_is_under_the_read_bound(self, fmt, edit, message, bound):
+        # a fault at the end of a 256 x 256 file is named by walking the lines
+        # again one at a time, so it costs no more memory than a read; the
+        # last data line is replaced by edit(last)
+        a = crandn(np.random.default_rng(256), 256, 256)
+        text = write_matrix_market(a) if fmt == "array" else coordinate_text(a)
+        cut = text.rindex("\n", 0, -1) + 1
+        text = text[:cut] + edit(text[cut:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketError, match="^" + re.escape(message) + "$"):
+                parse_matrix_market(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(text)
+
     def test_edge_tokens_read_as_float(self):
         # every separator of the token rule, at line starts, between tokens and
         # at line ends; each token reads as the bits float() gives it
@@ -304,8 +329,12 @@ class TestMatrixMarketErrors:
             parse_matrix_market(text)
 
     def test_missing_size_line(self):
-        with pytest.raises(MatrixMarketError, match="size"):
-            parse_matrix_market("%%MatrixMarket matrix array real general\n")
+        # the last line that the text starts is named: a final newline starts none
+        head = "%%MatrixMarket matrix array real general"
+        for end, line in [("", 1), ("\n", 1), ("\r\n", 1), ("\n\n", 2), ("\n%c", 2),
+                          ("\n \n\t", 3)]:
+            with pytest.raises(MatrixMarketError, match=f"^line {line}: missing size line$"):
+                parse_matrix_market(head + end)
 
     @pytest.mark.parametrize("fmt, size, message", [
         ("array", "1" + "0" * 5000 + " 1", "size out of range"),
@@ -363,8 +392,13 @@ class TestMatrixMarketAcrossBlocks:
          "line 2505: non-finite value: 'nan'"),
         ("3000 1", {50: ["% note", "0.5"], 2000: [" \t", "0.5"], 2600: "1_0"},
          "line 2605: expected one real number: '1_0'"),
+        # free lines and a fault in one block, and a fault on the first data line
+        ("3000 1", {2590: ["% note", "", REAL[2590]], 2600: "x"},
+         "line 2605: expected one real number: 'x'"),
+        ("3000 1", {0: ["%", "", "x"]}, "line 5: expected one real number: 'x'"),
     ], ids=["grammar-after-extra-data", "grammar-after-non-finite", "count-after-non-finite",
-            "extra-data", "short", "comment-and-blank", "grammar-after-comment-and-blank"])
+            "extra-data", "short", "comment-and-blank", "grammar-after-comment-and-blank",
+            "grammar-after-comment-and-blank-in-one-block", "grammar-first-after-free-lines"])
     def test_fault_named_as_in_one_pass(self, size, changes, message):
         text = long_file("real", size, with_lines(self.REAL, changes))
         with pytest.raises(MatrixMarketError, match="^" + re.escape(message) + "$"):
@@ -511,7 +545,8 @@ class TestDeterministicJson:
         for m in (a, np.asfortranarray(a), a[::2, 1::2], a.T):
             assert dumps(m) == dumps(matrix_pairs(m))
             assert dumps({"u": m}) == dumps({"u": matrix_pairs(m)})
-        # a conjugate transpose reuses the digits of its original
+        # so is a list of arrays: one array, its conjugate transpose and its
+        # conjugate, with signed zeros, subnormals and the largest float
         s = a[:5].copy()
         s[1, :4] = [complex(0.0, -0.0), complex(-5e-324, 5e-324),
                     complex(2.2e-308, -1e-310), complex(-1.7976931348623157e308, -0.0)]
