@@ -5,10 +5,11 @@ All randomness derives from --seed through the substream layout, so a
 repeated invocation with identical flags and inputs produces
 byte-identical output (fixed JSON key order, floats at 17 significant
 digits).  Exit codes: 0 success, 1 usage or input error, 2 numerical
-check failed.  Each cmd_* returns (a function that writes its report to a
-given write callable, whether its check passed), after every check and
-computation but the report's own; main alone opens the destination, streams
-the report into it and picks the exit code.
+check failed.  Each cmd_* returns (its report as a dumps document, whether its
+check passed), after every check and computation but the report's own:
+`sample`'s document is the iterator of its row blocks, drawn as they are
+written.  main alone opens the destination, streams the report into it
+with dumps and picks the exit code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .estimator import estimate_trace, substitution_identity_sweep
 from .formats import (
     _report_doc,
     complex_pair,
-    dump_rows,
     dumps,
     parse_json_dense,
     parse_matrix_market,
@@ -131,7 +131,7 @@ def cmd_estimate(args):
     a = _load_matrix(args.matrix)
     report = estimate_trace(a, args.samples, StreamSpec(args.seed, 0), z=args.z)
     doc = _report_doc(report)
-    return functools.partial(dumps, doc), doc["abs_error"] <= report.radius + report.rounding_floor
+    return doc, doc["abs_error"] <= report.radius + report.rounding_floor
 
 
 def cmd_decompose(args):
@@ -150,8 +150,8 @@ def cmd_decompose(args):
         "reconstruction_residual": dec.reconstruction_residual,
         "unitarity_residual": dec.unitarity_residual,
     }
-    return functools.partial(dumps, doc), (dec.reconstruction_residual <= dec.reconstruction_bound
-                                           and dec.unitarity_residual <= dec.unitarity_bound)
+    return doc, (dec.reconstruction_residual <= dec.reconstruction_bound
+                 and dec.unitarity_residual <= dec.unitarity_bound)
 
 
 def cmd_uniqueness(args):
@@ -164,8 +164,7 @@ def cmd_uniqueness(args):
     }
     # the values are read off exactly, so the gate is exact too; a solution
     # space that is not one dimensional has raised ArithmeticError
-    return functools.partial(dumps, doc), np.array_equal(solution.values,
-                                                          np.eye(args.dim) / args.dim)
+    return doc, np.array_equal(solution.values, np.eye(args.dim) / args.dim)
 
 
 def cmd_check_invariance(args):
@@ -185,14 +184,14 @@ def cmd_check_invariance(args):
         "unitarity_residual": unitarity,
         "seed": args.seed,
     }
-    return functools.partial(dumps, doc), max_gap <= bound
+    return doc, max_gap <= bound
 
 
 def cmd_sample(args):
     # the vectors are drawn as they are written, a chunk at a time; a row of
     # zero normals therefore fails the run part way through its report
     chunks = map_chunks(_normalize, StreamSpec(args.seed, 0), args.dim, args.count)
-    return functools.partial(dump_rows, (rows for _, rows in chunks)), True
+    return (rows for _, rows in chunks), True
 
 
 def main(argv=None) -> int:
@@ -202,11 +201,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        write_report, passed = args.func(args)
+        document, passed = args.func(args)
         # opened only now, so a run that fails before its report leaves the file as it was
         with (open(args.output, "w", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
-            write_report(out.write)
+            dumps(document, out.write)
             out.write("\n")
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,11 @@ Matrix Market alike, are written from exact integer digits where their
 significant digits are worked out from the 53-bit mantissa in uint64
 arithmetic, rounded half to even as %.17g rounds them, and zeros are
 written "0" and "-0".  Every other float (|x| >= 1, below 1e-4, a
-subnormal), and every float of an array of fewer than 256 entries or of
-mostly |x| >= 1, is written by %.17g itself, so the bytes are those of
+subnormal), and every float of a written piece of fewer than 256 entries or
+of mostly |x| >= 1, is written by %.17g itself, so the bytes are those of
 %.17g on each float.  A document can be written piece by piece, never whole:
-dumps(value, write) hands each piece to write() as it is made, and
-dump_rows writes blocks of rows, as they arrive, as one array.
+dumps(value, write) hands each piece to write() as it is made, an array's rows
+_TEXT_FLOATS floats at a time, and the row blocks an iterator yields as one array.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "write_json_dense",
     "write_report_json",
     "dumps",
-    "dump_rows",
     "complex_pair",
     "matrix_pairs",
 ]
@@ -384,12 +384,14 @@ def dumps(value, write=None):
     A complex128 ndarray (1-d or more) is written as nested [re, im] pairs,
     the same text as its matrix_pairs lists: its fixed-form floats below 1
     and its zeros from exact integer digits, every other float by %.17g.
+    An iterator of 2-d complex128 arrays is written as one array, their concatenation.
 
     Without `write` the text is returned.  With it, each piece of the text
     goes to write(piece) as soon as it is made, in order, and None is
     returned, so the document is never whole in memory: its largest piece
-    is the text of one array.  A value that cannot be written raises
-    ValueError when it is reached, after the pieces before it have gone.
+    is a 1-d array's text, or that of _TEXT_FLOATS floats, one row at least,
+    of a 2-d one.  A value that cannot be written raises ValueError when it
+    is reached, after the pieces before it have gone: a row block, before its own.
     """
     if write is not None:
         _emit(value, write)
@@ -399,23 +401,24 @@ def dumps(value, write=None):
     return "".join(pieces)
 
 
-_WRITE_ROWS = 512  # rows formatted and written at a time by dump_rows
-
-
-def dump_rows(blocks, write) -> None:
-    """Write the rows of the complex (rows, n) arrays `blocks` yields, in order,
-    as the rows of one JSON array: the text dumps gives their concatenation,
-    handed to write() 512 rows at a time as each block is reached, so no more
-    than that much text is held."""
-    write("[")
+def _write_rows(blocks, put) -> None:
+    """The rows of the (rows, n) complex128 arrays `blocks` yields, in order,
+    as the rows of one JSON array, handed to put() max(1, _TEXT_FLOATS //
+    (2 n)) rows at a time as each block is reached."""
+    put("[")
     sep = ""
     for block in blocks:
+        kind = getattr(block, "dtype", type(block).__name__)
+        if kind != np.complex128 or np.ndim(block) != 2:
+            shape = getattr(block, "shape", ())
+            raise ValueError(f"a row block must be a 2-d complex128 array, got {kind} {shape}")
         m = _finite(block)
-        for lo in range(0, len(m), _WRITE_ROWS):
-            write(sep)
-            write(_rows(m[lo:lo + _WRITE_ROWS]))
+        step = max(1, _TEXT_FLOATS // max(1, 2 * m.shape[1]))
+        for lo in range(0, len(m), step):
+            put(sep)
+            put(_rows(m[lo:lo + step]))
             sep = ", "
-    write("]")
+    put("]")
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -427,15 +430,6 @@ def _finite(a: np.ndarray) -> np.ndarray:
         bad = float(floats.flat[np.argmin(finite)])
         raise ValueError(f"cannot serialize non-finite float {bad!r}")
     return m
-
-
-def _nested(m: np.ndarray) -> str:
-    """A C-contiguous array's text, nested by its axes."""
-    if m.ndim == 1:
-        return _rows(m[None])
-    if m.ndim == 2:
-        return "[" + _rows(m) + "]"
-    return "[" + ", ".join([_nested(part) for part in m]) + "]"
 
 
 def _rows(m: np.ndarray) -> str:
@@ -450,7 +444,8 @@ def _floats(m: np.ndarray):
     """A %-format for one float of the C-contiguous complex array m, and its
     arguments, nested as m.view(np.float64).tolist() is: the float itself
     for "%.17g", or its two _texts pieces for "%s%s" where m has
-    _DIGITS_FROM entries or more and at least half its floats are below 1."""
+    _DIGITS_FROM entries or more and at least half its floats are below 1;
+    m is one written piece."""
     floats = m.view(np.float64)
     if m.size < _DIGITS_FROM or np.count_nonzero(np.abs(floats) < 1) < m.size:
         return "%.17g", floats.tolist()
@@ -460,7 +455,7 @@ def _floats(m: np.ndarray):
 # Below ~150 entries (warm caches; more when cold) % alone costs less than the
 # ~45 numpy calls of _texts.
 _DIGITS_FROM = 256
-_TEXT_FLOATS = 1 << 13  # floats taken at a time by _texts: 64 KB arrays
+_TEXT_FLOATS = 1 << 13  # floats taken at a time by _texts, and written at a time: 64 KB arrays
 _POW5 = 5 ** np.arange(22, dtype=np.uint64)
 # "0." and -1 - X zeros for the decimal exponents X = -1 to -4, then a
 # zero's prefix, each unsigned and signed
@@ -519,6 +514,7 @@ def _texts(floats: np.ndarray) -> np.ndarray:
 
 
 def _emit(value, put) -> None:
+    array = isinstance(value, np.ndarray) and value.dtype == np.complex128
     if value is None:
         put("null")
     elif isinstance(value, bool):
@@ -531,9 +527,13 @@ def _emit(value, put) -> None:
         put(_fmt(float(value)))
     elif isinstance(value, str):
         put(json.dumps(value))
-    elif isinstance(value, np.ndarray) and value.dtype == np.complex128 and value.ndim:
-        put(_nested(_finite(value)))
-    elif isinstance(value, (list, tuple)):
+    elif array and value.ndim == 1:
+        put(_rows(_finite(value)[None]))
+    elif array and value.ndim == 2:
+        _write_rows([value], put)
+    elif isinstance(value, Iterator):
+        _write_rows(value, put)
+    elif isinstance(value, (list, tuple)) or array and value.ndim:  # 3-d and up: by parts
         put("[")
         for k, item in enumerate(value):
             if k:

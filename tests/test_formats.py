@@ -16,7 +16,6 @@ from tracekit.estimator import EstimateReport
 from tracekit.formats import (
     MatrixMarketError,
     complex_pair,
-    dump_rows,
     dumps,
     matrix_pairs,
     parse_json_dense,
@@ -619,24 +618,61 @@ class TestDeterministicJson:
             dumps({"u": u, "x": np.nan}, pieces.append)
         assert "".join(pieces) == dumps({"u": u})[:-1] + ", " + '"x": '
 
+    def test_writing_an_array_holds_a_slab_not_its_text(self):
+        # an array goes out _TEXT_FLOATS floats at a time, so the peak is
+        # that of a slab, whatever the array's size
+        peaks, sizes = {}, {}
+        for n in (256, 512):
+            u = crandn(np.random.default_rng(n), n, n)
+            size = [0]
+
+            def write(piece):
+                size[0] += len(piece)
+
+            tracemalloc.start()
+            try:
+                dumps({"u": u}, write)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes[n] = size[0]
+        assert peaks[512] < 0.25 * sizes[512], (peaks, sizes)
+        assert peaks[512] < 1.25 * peaks[256], (peaks, sizes)
+
     def test_row_blocks_are_written_as_one_array(self):
-        a = crandn(np.random.default_rng(35), 1100, 3)
+        a = crandn(np.random.default_rng(35), 3000, 3)
         a[0, :2] = [complex(-0.0, 5e-324), complex(1e308, -2.2e-308)]
-        cuts = [0, 0, 1, 600, 600, 1100]  # empty blocks, and one past 512 rows
+        cuts = [0, 0, 1, 1600, 1600, 3000]  # empty blocks, and each past a slab
         pieces = []
-        dump_rows((a[lo:hi] for lo, hi in zip(cuts, cuts[1:])), pieces.append)
+        dumps((a[lo:hi] for lo, hi in zip(cuts, cuts[1:])), pieces.append)
         assert "".join(pieces) == dumps(a)
-        rows = [dumps(a[lo:hi])[1:-1] for lo, hi in ((0, 1), (1, 513), (513, 600), (600, 1100))]
-        assert pieces == ["[", "", rows[0], ", ", rows[1], ", ", rows[2], ", ", rows[3], "]"]
+        # max(1, _TEXT_FLOATS // (2 n)) rows a piece: 1365 at n = 3
+        rows = [dumps(a[lo:hi])[1:-1]
+                for lo, hi in ((0, 1), (1, 1366), (1366, 1600), (1600, 2965), (2965, 3000))]
+        assert pieces == ["[", "", rows[0], ", ", rows[1], ", ", rows[2], ", ", rows[3],
+                          ", ", rows[4], "]"]
+        # one block over several slabs: 64 rows a piece at n = 64
+        wide = crandn(np.random.default_rng(37), 300, 64)
+        pieces = []
+        dumps(iter([wide]), pieces.append)
+        assert "".join(pieces) == dumps(wide)
+        assert pieces[2::2] == [dumps(wide[lo:lo + 64])[1:-1] for lo in range(0, 300, 64)]
         square = a[:3]
         pieces = []
-        dump_rows(iter([square[:1], square[1:]]), pieces.append)
+        dumps(iter([square[:1], square[1:]]), pieces.append)
         assert "".join(pieces) == dumps(square)
         pieces = []
-        dump_rows(iter([]), pieces.append)
+        dumps(iter([]), pieces.append)
         assert "".join(pieces) == "[]" == dumps(a[:0])
         with pytest.raises(ValueError, match="non-finite float inf"):
-            dump_rows(iter([a[:2], np.array([[1j, np.inf, 0]])]), pieces.append)
+            dumps(iter([a[:2], np.array([[1j, np.inf, 0]])]), pieces.append)
+        # a block that is not a 2-d complex128 array is refused before its text
+        for bad in (a[0], a[:4].reshape(2, 2, 3), a[1:3].astype(np.complex64),
+                    a[:2].real.copy(), [[1j, 2j]]):
+            pieces = []
+            with pytest.raises(ValueError, match="row block must be a 2-d complex128 array"):
+                dumps(iter([a[:2], bad]), pieces.append)
+            assert "".join(pieces) == "[" + dumps(a[:2])[1:-1]
 
     def test_rejects_unknown_types(self):
         with pytest.raises(ValueError, match="serialize"):
